@@ -41,7 +41,18 @@ ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
   for (const ClusterModel& cm : model.clusters()) {
     ClusterOps ops;
     ops.mean = cm.mean;
-    if (mahalanobis) ops.inv_cov = cm.inv_covariance.data();
+    if (mahalanobis) {
+      ops.inv_cov = cm.inv_covariance.data().data();
+      if (backend_ == linalg::simd::Backend::kAvx2) {
+        const std::size_t rows = linalg::simd::padded_rows(dim);
+        ops.inv_cov_t.assign(dim * rows, 0.0);
+        for (std::size_t r = 0; r < dim; ++r) {
+          for (std::size_t c = 0; c < dim; ++c) {
+            ops.inv_cov_t[c * rows + r] = ops.inv_cov[r * dim + c];
+          }
+        }
+      }
+    }
 
     if (!cm.covariance.empty()) {
       if (auto ridged = linalg::factorize_with_ridge(cm.covariance,
@@ -64,8 +75,7 @@ ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
     }
 
     ops.fixed = linalg::fixed::quantize_cluster(
-        ops.mean.data(), mahalanobis ? ops.inv_cov.data() : nullptr, dim,
-        feature_step_);
+        ops.mean.data(), ops.inv_cov, dim, feature_step_);
     clusters_.push_back(std::move(ops));
   }
 }
@@ -172,14 +182,16 @@ void BatchScorer::score_batch(const EdgeSet* const* sets,
     double* row = dist_.data() + c * stride;
     if (mahalanobis) {
       if (body > 0) {
-        linalg::simd::mahalanobis_avx2(view, ops.mean.data(),
-                                       ops.inv_cov.data(), dscratch_.data(),
-                                       row, 0, body);
+        linalg::simd::mahalanobis_avx2(view, ops.mean.data(), ops.inv_cov,
+                                       dscratch_.data(), row, 0, body);
       }
-      if (body < n) {
-        linalg::simd::mahalanobis_scalar(view, ops.mean.data(),
-                                         ops.inv_cov.data(), dscratch_.data(),
-                                         row, body, n);
+      if (body < n && backend == Backend::kAvx2) {
+        linalg::simd::mahalanobis_avx2_rows(view, ops.mean.data(),
+                                            ops.inv_cov_t.data(),
+                                            dscratch_.data(), row, body, n);
+      } else if (body < n) {
+        linalg::simd::mahalanobis_scalar(view, ops.mean.data(), ops.inv_cov,
+                                         dscratch_.data(), row, body, n);
       }
     } else {
       if (body > 0) {

@@ -6,14 +6,15 @@
 // strided loads, not the arithmetic, dominate the scoring stage.  This
 // layer splits the work the embedded way:
 //
-//   ScoringPlan   immutable, built once at model load: per-cluster mean /
-//                 inverse-covariance copies in contiguous storage, the
-//                 Cholesky factor of each covariance (factorized once and
-//                 cached — also used to cross-check that the stored
-//                 inverse actually inverts the stored covariance, which
-//                 catches corrupted checkpoints at load time instead of
-//                 as NaN verdicts later), the int16 fixed-point operands,
-//                 and the resolved backend.
+//   ScoringPlan   immutable, built once at model load: per-cluster mean
+//                 copies, the transposed inverse the one-frame AVX2
+//                 kernel reads (the batch kernels read the model's own
+//                 inverse in place), the Cholesky factor of each covariance
+//                 (factorized once and cached — also used to cross-check
+//                 that the stored inverse actually inverts the stored
+//                 covariance, which catches corrupted checkpoints at load
+//                 time instead of as NaN verdicts later), the int16
+//                 fixed-point operands, and the resolved backend.
 //   BatchScorer   per-worker scratch (SoA transpose buffers, distance
 //                 matrix) over one shared plan; scoring a batch does zero
 //                 allocations after warm-up.
@@ -40,8 +41,10 @@ namespace vprofile {
 
 /// Immutable per-model scoring operands; share one plan across workers.
 /// The model must outlive the plan and must not be mutated while any
-/// scorer uses it (the plan holds copies, so a mutated model would score
-/// against stale statistics — build a fresh plan after online updates).
+/// scorer uses it: the plan reads the model's inverse covariances in place
+/// and caches derived operands, so a mutated model would score against a
+/// mix of fresh and stale statistics — build a fresh plan after online
+/// updates.
 class ScoringPlan {
  public:
   /// Builds the plan, resolving `requested` against the CPU and the
@@ -84,8 +87,13 @@ class ScoringPlan {
   friend class BatchScorer;
 
   struct ClusterOps {
-    std::vector<double> mean;     // contiguous copy
-    std::vector<double> inv_cov;  // row-major copy; empty for Euclidean
+    std::vector<double> mean;  // contiguous copy
+    /// The model's own row-major inverse, read in place by the batch
+    /// kernels; null for Euclidean.
+    const double* inv_cov = nullptr;
+    /// AVX2 plans only: the inverse transposed and zero-padded to
+    /// simd::padded_rows(dim) rows, for the one-frame kernel.
+    std::vector<double> inv_cov_t;
     std::optional<linalg::Cholesky> factor;
     double ridge = 0.0;
     bool inverse_consistent = true;
@@ -124,7 +132,7 @@ class BatchScorer {
   // Workspace, reused across calls (sized on first use per batch shape).
   std::vector<std::uint32_t> to_score_;
   std::vector<double> soa_;       // dim x stride feature transpose
-  std::vector<double> dscratch_;  // dim (scalar) or dim*4 (avx2) doubles
+  std::vector<double> dscratch_;  // centered-feature scratch, dim * 16
   std::vector<double> dist_;      // clusters x stride distances
   std::vector<std::int16_t> soa_fx_;  // int16 transpose (fixed backend)
 };

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/fnv1a.hpp"
 #include "io/checksum.hpp"
 #include "obs/metrics.hpp"
 
@@ -10,21 +11,9 @@ namespace fleet {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv_bytes(h, &v, sizeof(v));
-}
+using vprofile::fnv1a;
+using vprofile::fnv1a_u64;
+using vprofile::kFnv1aOffset;
 
 bool is_serving(TenantState state) {
   return state == TenantState::kActive || state == TenantState::kDegraded;
@@ -172,7 +161,7 @@ std::string tenant_checkpoint_dir(const std::string& root,
 std::size_t shard_of(const std::string& tenant_id, std::size_t num_shards) {
   if (num_shards == 0) return 0;
   return static_cast<std::size_t>(
-      fnv_bytes(kFnvOffset, tenant_id.data(), tenant_id.size()) % num_shards);
+      fnv1a(kFnv1aOffset, tenant_id.data(), tenant_id.size()) % num_shards);
 }
 
 struct FleetService::Tenant {
@@ -210,7 +199,7 @@ struct FleetService::Tenant {
   std::uint64_t clock_frames = 0;
   std::uint64_t generations = 1;
   /// Fold of finished generations' fingerprints.
-  std::uint64_t fingerprint_chain = kFnvOffset;
+  std::uint64_t fingerprint_chain = kFnv1aOffset;
   runtime::SupervisorStats acc_stats;  // finished generations
 
   obs::Counter* frames_metric = nullptr;
@@ -743,7 +732,7 @@ void FleetService::retire_supervisor_locked(Tenant& tenant) {
   try {
     accumulate(tenant.acc_stats, tenant.sup->stats());
     tenant.fingerprint_chain =
-        fnv_u64(tenant.fingerprint_chain, tenant.sup->fingerprint());
+        fnv1a_u64(tenant.fingerprint_chain, tenant.sup->fingerprint());
     tenant.health = tenant.sup->health();
   } catch (...) {
   }
@@ -794,7 +783,7 @@ TenantSnapshot FleetService::snapshot_locked(const Tenant& tenant) const {
   if (tenant.sup != nullptr) {
     snap.health = tenant.sup->health();
     accumulate(snap.supervisor, tenant.sup->stats());
-    snap.fingerprint = fnv_u64(snap.fingerprint, tenant.sup->fingerprint());
+    snap.fingerprint = fnv1a_u64(snap.fingerprint, tenant.sup->fingerprint());
   }
   return snap;
 }
@@ -824,12 +813,12 @@ FleetStats FleetService::stats() const {
 
 std::uint64_t FleetService::fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aOffset;
   for (const auto& [id, tenant] : tenants_) {
-    h = fnv_bytes(h, id.data(), id.size());
+    h = fnv1a(h, id.data(), id.size());
     const TenantSnapshot snap = snapshot_locked(*tenant);
-    h = fnv_u64(h, snap.fingerprint);
-    h = fnv_u64(h, static_cast<std::uint64_t>(snap.state));
+    h = fnv1a_u64(h, snap.fingerprint);
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(snap.state));
   }
   return h;
 }
@@ -842,12 +831,12 @@ std::string FleetService::statusz_json() const {
     std::lock_guard<std::mutex> lock(mu_);
     fleet = stats_;
     snaps.reserve(tenants_.size());
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = kFnv1aOffset;
     for (const auto& [id, tenant] : tenants_) {
       const TenantSnapshot snap = snapshot_locked(*tenant);
-      h = fnv_bytes(h, id.data(), id.size());
-      h = fnv_u64(h, snap.fingerprint);
-      h = fnv_u64(h, static_cast<std::uint64_t>(snap.state));
+      h = fnv1a(h, id.data(), id.size());
+      h = fnv1a_u64(h, snap.fingerprint);
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(snap.state));
       snaps.push_back(snap);
     }
     fleet_fp = h;

@@ -20,15 +20,21 @@
 // than the chaining saves.  Lane-local operation order is identical at
 // every block width.
 //
+// mahalanobis_avx2_rows serves batches too small for an edge quad (one
+// frame at a time, as lockstep serving scores) by turning the axis: one
+// row of the inverse per lane, with the same 16/8/4 blocking over rows.
+// Each lane's s_r chain is still the scalar sequence; the cross-row sum q
+// stays in scalar, r ascending.
+//
 // This is the only translation unit allowed to use _mm256_* intrinsics
 // outside the dispatch headers; the simd-boundary lint rule enforces that.
 #include "linalg/simd_kernels.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-
 #include <algorithm>
 #include <cmath>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
 
 namespace linalg::simd {
 namespace {
@@ -196,6 +202,56 @@ inline void mahalanobis_block1(const BatchView& batch, const double* mu,
   }
 }
 
+/// Row-quad blocks of the one-frame kernel: s[r0 .. r0 + 4 * quads) of
+/// centered features d against the transposed inverse, four rows per lane
+/// quad, c ascending in every lane.
+inline void rows_block4(const double* inv_t, std::size_t rows,
+                        const double* d, std::size_t dim, double* s,
+                        std::size_t r0) {
+  __m256d s0 = _mm256_setzero_pd();
+  __m256d s1 = _mm256_setzero_pd();
+  __m256d s2 = _mm256_setzero_pd();
+  __m256d s3 = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < dim; ++c) {
+    const __m256d x = _mm256_set1_pd(d[c]);
+    const double* w = inv_t + c * rows + r0;
+    s0 = _mm256_add_pd(s0, _mm256_mul_pd(_mm256_loadu_pd(w), x));
+    s1 = _mm256_add_pd(s1, _mm256_mul_pd(_mm256_loadu_pd(w + 4), x));
+    s2 = _mm256_add_pd(s2, _mm256_mul_pd(_mm256_loadu_pd(w + 8), x));
+    s3 = _mm256_add_pd(s3, _mm256_mul_pd(_mm256_loadu_pd(w + 12), x));
+  }
+  _mm256_storeu_pd(s + r0, s0);
+  _mm256_storeu_pd(s + r0 + 4, s1);
+  _mm256_storeu_pd(s + r0 + 8, s2);
+  _mm256_storeu_pd(s + r0 + 12, s3);
+}
+
+inline void rows_block2(const double* inv_t, std::size_t rows,
+                        const double* d, std::size_t dim, double* s,
+                        std::size_t r0) {
+  __m256d s0 = _mm256_setzero_pd();
+  __m256d s1 = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < dim; ++c) {
+    const __m256d x = _mm256_set1_pd(d[c]);
+    const double* w = inv_t + c * rows + r0;
+    s0 = _mm256_add_pd(s0, _mm256_mul_pd(_mm256_loadu_pd(w), x));
+    s1 = _mm256_add_pd(s1, _mm256_mul_pd(_mm256_loadu_pd(w + 4), x));
+  }
+  _mm256_storeu_pd(s + r0, s0);
+  _mm256_storeu_pd(s + r0 + 4, s1);
+}
+
+inline void rows_block1(const double* inv_t, std::size_t rows,
+                        const double* d, std::size_t dim, double* s,
+                        std::size_t r0) {
+  __m256d s0 = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < dim; ++c) {
+    const __m256d w = _mm256_loadu_pd(inv_t + c * rows + r0);
+    s0 = _mm256_add_pd(s0, _mm256_mul_pd(w, _mm256_set1_pd(d[c])));
+  }
+  _mm256_storeu_pd(s + r0, s0);
+}
+
 }  // namespace
 
 // vprofile-lint: hot
@@ -223,6 +279,28 @@ void mahalanobis_avx2(const BatchView& batch, const double* mu,
   }
 }
 
+// vprofile-lint: hot
+void mahalanobis_avx2_rows(const BatchView& batch, const double* mu,
+                           const double* inv_cov_t, double* dscratch,
+                           double* out, std::size_t begin, std::size_t end) {
+  const std::size_t dim = batch.dim;
+  const std::size_t rows = padded_rows(dim);
+  double* d = dscratch;
+  double* s = dscratch + dim;
+  for (std::size_t e = begin; e < end; ++e) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      d[i] = batch.soa[i * batch.stride + e] - mu[i];
+    }
+    std::size_t r = 0;
+    for (; r + 16 <= rows; r += 16) rows_block4(inv_cov_t, rows, d, dim, s, r);
+    for (; r + 8 <= rows; r += 8) rows_block2(inv_cov_t, rows, d, dim, s, r);
+    for (; r < rows; r += 4) rows_block1(inv_cov_t, rows, d, dim, s, r);
+    double q = 0.0;
+    for (std::size_t k = 0; k < dim; ++k) q += d[k] * s[k];
+    out[e] = std::sqrt(std::max(0.0, q));
+  }
+}
+
 }  // namespace linalg::simd
 
 #else  // non-x86: the dispatcher never selects kAvx2, but the symbols must
@@ -239,6 +317,26 @@ void mahalanobis_avx2(const BatchView& batch, const double* mu,
                       const double* inv_cov, double* dscratch, double* out,
                       std::size_t begin, std::size_t end) {
   mahalanobis_scalar(batch, mu, inv_cov, dscratch, out, begin, end);
+}
+
+void mahalanobis_avx2_rows(const BatchView& batch, const double* mu,
+                           const double* inv_cov_t, double* dscratch,
+                           double* out, std::size_t begin, std::size_t end) {
+  const std::size_t dim = batch.dim;
+  const std::size_t rows = padded_rows(dim);
+  double* d = dscratch;
+  for (std::size_t e = begin; e < end; ++e) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      d[i] = batch.soa[i * batch.stride + e] - mu[i];
+    }
+    double q = 0.0;
+    for (std::size_t r = 0; r < dim; ++r) {
+      double s = 0.0;
+      for (std::size_t c = 0; c < dim; ++c) s += inv_cov_t[c * rows + r] * d[c];
+      q += d[r] * s;
+    }
+    out[e] = std::sqrt(std::max(0.0, q));
+  }
 }
 
 }  // namespace linalg::simd

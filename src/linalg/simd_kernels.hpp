@@ -50,4 +50,24 @@ void mahalanobis_avx2(const BatchView& batch, const double* mu,
                       const double* inv_cov, double* dscratch, double* out,
                       std::size_t begin, std::size_t end);
 
+/// Rows of the inverse the one-frame kernel pads to: dim rounded up to 4.
+inline std::size_t padded_rows(std::size_t dim) {
+  return (dim + 3) & ~std::size_t{3};
+}
+
+/// One-frame AVX2 Mahalanobis for e in [begin, end), any count — the
+/// kernel for batches under one quad and for the tail after the body.
+/// It vectorizes across rows of the inverse instead of across edges: one
+/// lane per row r runs the scalar sequence s_r += inv_cov[r][c] * d_c
+/// (c ascending), then q = sum_r d_r * s_r and sqrt(max(0, q)) run in
+/// scalar, r ascending, so results stay bit-identical to
+/// mahalanobis_scalar.  `inv_cov_t` is the inverse TRANSPOSED and padded
+/// with zero rows, inv_cov_t[c * padded_rows(dim) + r] = inv_cov[r][c];
+/// the stored inverse is not bitwise symmetric, so the row-major matrix
+/// cannot stand in for it.  `dscratch` must hold >= dim + padded_rows(dim)
+/// doubles.
+void mahalanobis_avx2_rows(const BatchView& batch, const double* mu,
+                           const double* inv_cov_t, double* dscratch,
+                           double* out, std::size_t begin, std::size_t end);
+
 }  // namespace linalg::simd

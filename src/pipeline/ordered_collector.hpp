@@ -52,12 +52,6 @@ class OrderedCollector {
     return buffer_.size();
   }
 
-  /// Next sequence the sink is waiting for (== total emitted so far).
-  std::uint64_t next_expected() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return next_;
-  }
-
  private:
   mutable std::mutex mu_;
   std::map<std::uint64_t, T> buffer_;

@@ -21,46 +21,13 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-/// The one scoring routine both the workers and the sequential reference
-/// run — sharing it is what makes pipeline-vs-sequential equivalence a
-/// property of the code rather than a hope.
-FrameResult score_frame(const vprofile::Model& model, const dsp::Trace& trace,
-                        const vprofile::DetectionConfig& dc,
-                        bool keep_edge_set, std::uint64_t* extract_ns,
-                        std::uint64_t* detect_ns) {
-  FrameResult result;
-  const auto t0 = Clock::now();
-  vprofile::ExtractError err = vprofile::ExtractError::kNone;
-  auto edge_set = vprofile::extract_edge_set(trace, model.extraction(), &err);
-  const auto t1 = Clock::now();
-  *extract_ns = ns_between(t0, t1);
-  if (!edge_set) {
-    result.extract_error = err;
-    *detect_ns = 0;
-    return result;
-  }
-  result.sa = edge_set->sa;
-  result.detection = vprofile::detect(model, *edge_set, dc);
-  *detect_ns = ns_between(t1, Clock::now());
-  if (keep_edge_set) result.edge_set = std::move(*edge_set);
-  return result;
-}
-
 }  // namespace
 
-DetectionPipeline::DetectionPipeline(const vprofile::Model& model,
-                                     PipelineConfig config, ResultSink sink)
-    : model_(model),
-      config_(config),
-      plan_(model, config.backend),
-      queue_(config.queue_capacity),
-      collector_(std::move(sink)) {
-  if (config_.num_workers == 0) {
-    throw std::invalid_argument("DetectionPipeline: need at least one worker");
-  }
+ScoringCore::ScoringCore(const vprofile::Model& model, PipelineConfig config)
+    : model_(model), config_(std::move(config)), plan_(model, config_.backend) {
   if (config_.metrics != nullptr) {
     // Resolve every fixed series up front: the registry mutex is paid
-    // here, once, and the workers only ever touch lock-free handles.
+    // here, once, and the hot path only ever touches lock-free handles.
     obs::MetricsRegistry& reg = *config_.metrics;
     obs_.submitted = reg.counter("frames_submitted_total");
     obs_.completed = reg.counter("frames_completed_total");
@@ -71,8 +38,174 @@ DetectionPipeline::DetectionPipeline(const vprofile::Model& model,
     // vprofile-lint: allow(metric-name) — depth is unitless by design
     obs_.queue_depth = reg.gauge("queue_depth");
   }
-  workers_.reserve(config_.num_workers);
-  for (std::size_t i = 0; i < config_.num_workers; ++i) {
+}
+
+void ScoringCore::note_submitted(std::size_t depth, bool dropped) {
+  counters_.add_submitted();
+  if (dropped) counters_.add_dropped();
+  if (metered()) {
+    obs_.submitted->add();
+    obs_.queue_depth->set(static_cast<std::int64_t>(depth));
+    if (dropped) obs_.dropped->add();
+  }
+}
+
+void ScoringCore::note_depth(std::size_t depth) {
+  if (metered()) obs_.queue_depth->set(static_cast<std::int64_t>(depth));
+}
+
+// Sanctioned boundary: the registry mutex is paid at most once per SA
+// (first frame from that address); afterwards the atomic cache hits.
+// vprofile-lint: cold
+obs::Histogram* ScoringCore::sa_histogram(std::uint8_t sa) {
+  obs::Histogram* h =
+      obs_.detect_by_sa[sa].load(std::memory_order_acquire);
+  if (h == nullptr) {
+    char label[8];
+    std::snprintf(label, sizeof(label), "0x%02X", sa);
+    h = config_.metrics->histogram("detect_latency_ns", {{"sa", label}});
+    // Losing this race is harmless: the registry returned the same
+    // pointer to every contender.
+    obs_.detect_by_sa[sa].store(h, std::memory_order_release);
+  }
+  return h;
+}
+
+void ScoringCore::fail_job(std::uint64_t seq, const Emit& emit) {
+  Scratch::Slot slot;
+  slot.result.seq = seq;
+  slot.result.worker_error = true;
+  obs::Tracer* const tracer = config_.tracer;
+  complete_slot(slot, tracer != nullptr ? tracer->now_ns() : 0, emit);
+}
+
+// vprofile-lint: hot
+void ScoringCore::score_jobs(Scratch& scratch, const std::vector<Job>& jobs,
+                             const Emit& emit) {
+  using Slot = Scratch::Slot;
+  obs::Tracer* const tracer = config_.tracer;
+  const std::uint64_t t_start = tracer != nullptr ? tracer->now_ns() : 0;
+  std::vector<Slot>& slots = scratch.slots;
+  std::vector<const vprofile::EdgeSet*>& to_score = scratch.to_score;
+  std::vector<std::size_t>& score_slot = scratch.score_slot;
+
+  // Stage 1 — per frame: hook + extraction, individually contained.  A
+  // throwing stage (extractor bug, hostile input, injected fault) must
+  // cost exactly one frame, not the worker — an escaped exception from a
+  // std::thread is std::terminate for the whole monitor.
+  slots.clear();
+  slots.resize(jobs.size());
+  to_score.clear();
+  score_slot.clear();
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const Job& job = jobs[k];
+    Slot& slot = slots[k];
+    slot.result.seq = job.seq;
+    if (tracer != nullptr && job.submit_ns != 0) {
+      tracer->record("pipeline.queue", job.submit_ns,
+                     t_start - job.submit_ns);
+    }
+    try {
+      if (config_.stage_hook) config_.stage_hook(job.seq, job.trace);
+      const auto t0 = Clock::now();
+      vprofile::ExtractError err = vprofile::ExtractError::kNone;
+      slot.result.edge_set =
+          vprofile::extract_edge_set(job.trace, model_.extraction(), &err);
+      slot.extract_ns = ns_between(t0, Clock::now());
+      if (slot.result.edge_set) {
+        slot.result.sa = slot.result.edge_set->sa;
+        to_score.push_back(&*slot.result.edge_set);
+        score_slot.push_back(k);
+      } else {
+        slot.result.extract_error = err;
+      }
+    } catch (...) {
+      slot = Slot{};
+      slot.result.seq = job.seq;
+      slot.result.worker_error = true;
+    }
+  }
+
+  // Stage 2 — the batch: every surviving edge set scored through the
+  // shared plan in one SoA pass.  Detection cost is attributed evenly
+  // across the batch (remainder to the first frame) — telemetry only,
+  // verdicts never depend on timing.
+  if (!to_score.empty()) {
+    std::vector<vprofile::Detection>& detections = scratch.detections;
+    detections.clear();
+    detections.resize(to_score.size());
+    const auto td0 = Clock::now();
+    bool batch_failed = false;
+    try {
+      scratch.scorer.detect(to_score.data(), to_score.size(),
+                            config_.detection, detections.data());
+    } catch (...) {
+      batch_failed = true;
+    }
+    const std::uint64_t batch_ns = ns_between(td0, Clock::now());
+    const std::uint64_t share = batch_ns / to_score.size();
+    const std::uint64_t remainder = batch_ns % to_score.size();
+    for (std::size_t k = 0; k < to_score.size(); ++k) {
+      Slot& slot = slots[score_slot[k]];
+      if (batch_failed) {
+        const std::uint64_t seq = slot.result.seq;
+        slot = Slot{};
+        slot.result.seq = seq;
+        slot.result.worker_error = true;
+        continue;
+      }
+      slot.detect_ns = share + (k == 0 ? remainder : 0);
+      slot.result.detection = detections[k];
+      if (!config_.keep_edge_set) slot.result.edge_set.reset();
+    }
+  }
+
+  // Stage 3 — per frame, in batch order.
+  for (Slot& slot : slots) complete_slot(slot, t_start, emit);
+}
+
+// vprofile-lint: hot
+void ScoringCore::complete_slot(Scratch::Slot& slot, std::uint64_t t_start,
+                                const Emit& emit) {
+  FrameResult& result = slot.result;
+  counters_.add_completed(slot.extract_ns, slot.detect_ns);
+  if (result.worker_error) {
+    counters_.add_worker_error();
+  } else {
+    counters_.add_outcome(result.extract_error, result.detection);
+  }
+  if (obs_.completed != nullptr) {
+    obs_.completed->add();
+    if (result.worker_error) obs_.errors->add();
+    obs_.extract_latency->observe(slot.extract_ns);
+    obs_.detect_latency->observe(slot.detect_ns);
+    if (result.ok()) sa_histogram(result.sa)->observe(slot.detect_ns);
+  }
+  if (obs::Tracer* const tracer = config_.tracer) {
+    // Durations are the step's own measurements; start offsets are
+    // approximate (stages of one batch interleave).
+    tracer->record("pipeline.extract", t_start, slot.extract_ns);
+    tracer->record("pipeline.detect", t_start + slot.extract_ns,
+                   slot.detect_ns);
+  }
+  emit(std::move(result));
+}
+
+DetectionPipeline::DetectionPipeline(const vprofile::Model& model,
+                                     PipelineConfig config, ResultSink sink)
+    : core_(model, std::move(config)),
+      queue_(core_.config().queue_capacity),
+      collector_(std::move(sink)) {
+  if (core_.config().num_workers == 0) {
+    throw std::invalid_argument("DetectionPipeline: need at least one worker");
+  }
+  emit_ = [this](FrameResult&& result) {
+    if (core_.metered()) core_.note_depth(queue_.size());
+    obs::TraceSpan collect_span(core_.config().tracer, "pipeline.collect");
+    collector_.submit(result.seq, std::move(result));
+  };
+  workers_.reserve(core_.config().num_workers);
+  for (std::size_t i = 0; i < core_.config().num_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -83,7 +216,8 @@ DetectionPipeline::~DetectionPipeline() { finish(); }
 // call graph would otherwise conflate it with OrderedCollector::submit).
 // vprofile-lint: cold
 std::optional<std::uint64_t> DetectionPipeline::submit(dsp::Trace trace) {
-  obs::TraceSpan span(config_.tracer, "pipeline.submit");
+  const PipelineConfig& config = core_.config();
+  obs::TraceSpan span(config.tracer, "pipeline.submit");
   // One lock covers seq assignment *and* the enqueue/drop decision, so the
   // collector always sees a dense sequence space: every assigned seq is
   // either in the queue or already emitted as dropped.  Backpressure in
@@ -92,23 +226,17 @@ std::optional<std::uint64_t> DetectionPipeline::submit(dsp::Trace trace) {
   if (finished_) return std::nullopt;
   const std::uint64_t seq = next_seq_;
   Job job{seq, std::move(trace),
-          config_.tracer != nullptr ? config_.tracer->now_ns() : 0};
+          config.tracer != nullptr ? config.tracer->now_ns() : 0};
   bool accepted;
-  if (config_.block_when_full) {
+  if (config.block_when_full) {
     accepted = queue_.push(std::move(job));
   } else {
     accepted = queue_.try_push(std::move(job));
   }
   ++next_seq_;
-  counters_.add_submitted();
-  if (obs_.submitted != nullptr) {
-    obs_.submitted->add();
-    obs_.queue_depth->set(static_cast<std::int64_t>(queue_.size()));
-  }
+  core_.note_submitted(core_.metered() ? queue_.size() : 0, !accepted);
   if (accepted) return seq;
 
-  counters_.add_dropped();
-  if (obs_.dropped != nullptr) obs_.dropped->add();
   FrameResult dropped;
   dropped.seq = seq;
   dropped.dropped = true;
@@ -133,7 +261,7 @@ void DetectionPipeline::finish() {
   // dropped and every completed frame has exactly one outcome.  This is
   // the pipeline's core accounting invariant — enforced unconditionally
   // (assert() is compiled out in the default RelWithDebInfo build).
-  const CountersSnapshot snap = counters_.snapshot();
+  const CountersSnapshot snap = counters();
   if (!snap.consistent()) {
     std::fprintf(stderr,
                  "DetectionPipeline::finish(): counter conservation violated "
@@ -149,170 +277,30 @@ void DetectionPipeline::finish() {
   }
 }
 
-CountersSnapshot DetectionPipeline::counters() const {
-  return counters_.snapshot(queue_.high_watermark());
-}
-
-// Sanctioned boundary: the registry mutex is paid at most once per SA
-// (first frame from that address); afterwards the atomic cache hits.
-// vprofile-lint: cold
-obs::Histogram* DetectionPipeline::sa_histogram(std::uint8_t sa) {
-  obs::Histogram* h =
-      obs_.detect_by_sa[sa].load(std::memory_order_acquire);
-  if (h == nullptr) {
-    char label[8];
-    std::snprintf(label, sizeof(label), "0x%02X", sa);
-    h = config_.metrics->histogram("detect_latency_ns", {{"sa", label}});
-    // Losing this race is harmless: the registry returned the same
-    // pointer to every contender.
-    obs_.detect_by_sa[sa].store(h, std::memory_order_release);
-  }
-  return h;
-}
-
 // vprofile-lint: hot
 void DetectionPipeline::worker_loop() {
-  vprofile::BatchScorer scorer(plan_);
-  // Per-batch workspace; reserve once so steady state never allocates for
-  // batch bookkeeping (the EdgeSets themselves still come from extraction).
-  struct Slot {
-    FrameResult result;
-    std::optional<vprofile::EdgeSet> edge_set;
-    std::uint64_t extract_ns = 0;
-    std::uint64_t detect_ns = 0;
-  };
-  const std::size_t batch_max = std::max<std::size_t>(1, config_.batch_size);
+  ScoringCore::Scratch scratch(core_);
   std::vector<Job> jobs;
-  std::vector<Slot> slots;
-  std::vector<const vprofile::EdgeSet*> to_score;
-  std::vector<std::size_t> score_slot;  // slot index per to_score entry
-  std::vector<vprofile::Detection> detections;
+  const std::size_t batch_max =
+      std::max<std::size_t>(1, core_.config().batch_size);
   jobs.reserve(batch_max);
-  slots.reserve(batch_max);
-  to_score.reserve(batch_max);
-  score_slot.reserve(batch_max);
-  detections.reserve(batch_max);
-
   while (queue_.pop_some(&jobs, batch_max) > 0) {
-    obs::Tracer* const tracer = config_.tracer;
-    const std::uint64_t t_start = tracer != nullptr ? tracer->now_ns() : 0;
-
-    // Stage 1 — per frame: hook + extraction, individually contained.  A
-    // throwing stage (extractor bug, hostile input, injected fault) must
-    // cost exactly one frame, not the worker — an escaped exception from a
-    // std::thread is std::terminate for the whole monitor.
-    slots.clear();
-    slots.resize(jobs.size());
-    to_score.clear();
-    score_slot.clear();
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      Job& job = jobs[k];
-      Slot& slot = slots[k];
-      slot.result.seq = job.seq;
-      if (tracer != nullptr && job.submit_ns != 0) {
-        tracer->record("pipeline.queue", job.submit_ns,
-                       t_start - job.submit_ns);
-      }
-      try {
-        if (config_.stage_hook) config_.stage_hook(job.seq, job.trace);
-        const auto t0 = Clock::now();
-        vprofile::ExtractError err = vprofile::ExtractError::kNone;
-        slot.edge_set =
-            vprofile::extract_edge_set(job.trace, model_.extraction(), &err);
-        slot.extract_ns = ns_between(t0, Clock::now());
-        if (slot.edge_set) {
-          slot.result.sa = slot.edge_set->sa;
-          to_score.push_back(&*slot.edge_set);
-          score_slot.push_back(k);
-        } else {
-          slot.result.extract_error = err;
-        }
-      } catch (...) {
-        slot = Slot{};
-        slot.result.seq = job.seq;
-        slot.result.worker_error = true;
-      }
-    }
-
-    // Stage 2 — the batch: every surviving edge set scored through the
-    // shared plan in one SoA pass.  Detection cost is attributed evenly
-    // across the batch (remainder to the first frame) — telemetry only,
-    // verdicts never depend on timing.
-    if (!to_score.empty()) {
-      detections.clear();
-      detections.resize(to_score.size());
-      const auto td0 = Clock::now();
-      bool batch_failed = false;
-      try {
-        scorer.detect(to_score.data(), to_score.size(), config_.detection,
-                      detections.data());
-      } catch (...) {
-        batch_failed = true;
-      }
-      const std::uint64_t batch_ns = ns_between(td0, Clock::now());
-      const std::uint64_t share = batch_ns / to_score.size();
-      const std::uint64_t remainder = batch_ns % to_score.size();
-      for (std::size_t k = 0; k < to_score.size(); ++k) {
-        Slot& slot = slots[score_slot[k]];
-        if (batch_failed) {
-          const std::uint64_t seq = slot.result.seq;
-          slot = Slot{};
-          slot.result.seq = seq;
-          slot.result.worker_error = true;
-          continue;
-        }
-        slot.detect_ns = share + (k == 0 ? remainder : 0);
-        slot.result.detection = detections[k];
-        if (config_.keep_edge_set) {
-          slot.result.edge_set = std::move(*slot.edge_set);
-        }
-      }
-    }
-
-    // Stage 3 — per frame, in batch order: accounting, instruments, emit.
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      Slot& slot = slots[k];
-      FrameResult& result = slot.result;
-      counters_.add_completed(slot.extract_ns, slot.detect_ns);
-      if (result.worker_error) {
-        counters_.add_worker_error();
-      } else {
-        counters_.add_outcome(result.extract_error, result.detection);
-      }
-      if (obs_.completed != nullptr) {
-        obs_.completed->add();
-        if (result.worker_error) obs_.errors->add();
-        obs_.extract_latency->observe(slot.extract_ns);
-        obs_.detect_latency->observe(slot.detect_ns);
-        if (result.ok()) sa_histogram(result.sa)->observe(slot.detect_ns);
-        obs_.queue_depth->set(static_cast<std::int64_t>(queue_.size()));
-      }
-      if (tracer != nullptr) {
-        // Durations are the worker's own measurements; start offsets are
-        // approximate (stages of one batch interleave).
-        tracer->record("pipeline.extract", t_start, slot.extract_ns);
-        tracer->record("pipeline.detect", t_start + slot.extract_ns,
-                       slot.detect_ns);
-      }
-      obs::TraceSpan collect_span(tracer, "pipeline.collect");
-      collector_.submit(result.seq, std::move(result));
-    }
+    core_.score_jobs(scratch, jobs, emit_);
   }
 }
 
 std::vector<FrameResult> score_sequential(
     const vprofile::Model& model, const std::vector<dsp::Trace>& traces,
     const vprofile::DetectionConfig& dc) {
-  std::vector<FrameResult> results;
-  results.reserve(traces.size());
-  std::uint64_t seq = 0;
-  for (const dsp::Trace& trace : traces) {
-    std::uint64_t extract_ns = 0;
-    std::uint64_t detect_ns = 0;
-    FrameResult r =
-        score_frame(model, trace, dc, false, &extract_ns, &detect_ns);
-    r.seq = seq++;
-    results.push_back(std::move(r));
+  std::vector<FrameResult> results(traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    FrameResult& r = results[i];
+    r.seq = i;
+    auto edge_set = vprofile::extract_edge_set(traces[i], model.extraction(),
+                                               &r.extract_error);
+    if (!edge_set) continue;
+    r.sa = edge_set->sa;
+    r.detection = vprofile::detect(model, *edge_set, dc);
   }
   return results;
 }

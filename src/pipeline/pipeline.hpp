@@ -10,10 +10,10 @@
 //    (seq assigned)  (bounded,        (parallel)            (capture order)
 //                    backpressure)
 //
-// Workers drain the queue in batches (PipelineConfig::batch_size): each
-// frame is still extracted (and fault-contained) individually, but the
-// surviving edge sets are scored together through a vprofile::BatchScorer
-// over one shared ScoringPlan — the SIMD/batched hot path.
+// Workers drain the queue in batches (PipelineConfig::batch_size) and run
+// ScoringCore on each: frames are extracted (and fault-contained) one by
+// one, survivors scored together through a BatchScorer over one shared
+// ScoringPlan.  The lockstep Supervisor runs the same step inline.
 //
 // Guarantees:
 //  * Every submitted frame produces exactly one FrameResult at the sink,
@@ -117,13 +117,100 @@ struct FrameResult {
     return !dropped && !worker_error &&
            extract_error == vprofile::ExtractError::kNone;
   }
-  /// Extraction succeeded but the detector refused a confident verdict
-  /// (quality gating; see Verdict::kDegraded).
-  bool degraded() const { return ok() && detection->is_degraded(); }
 };
 
-/// Worker-pool pipeline over one trained model.  The model must outlive
-/// the pipeline and is never mutated through it.
+/// One frame handed to the scoring step.
+struct Job {
+  std::uint64_t seq = 0;
+  dsp::Trace trace;
+  /// Tracer timestamp at enqueue (0: tracing off, or never queued); the
+  /// step emits the queue-wait span from it.
+  std::uint64_t submit_ns = 0;
+};
+
+/// The synchronous scoring step every layer calls: per frame the stage
+/// hook and Algorithm 1 (exception-contained), one BatchScorer pass over
+/// the survivors, then accounting, instruments and emission in batch
+/// order.  Plan, counters and instruments are shared and thread-safe;
+/// each thread brings its own Scratch.  The model must outlive the core.
+class ScoringCore {
+ public:
+  using Emit = std::function<void(FrameResult&&)>;
+
+  ScoringCore(const vprofile::Model& model, PipelineConfig config);
+
+  /// Per-thread workspace: the BatchScorer's buffers plus the batch's
+  /// bookkeeping, grown once so steady state never allocates for it.
+  struct Scratch {
+    explicit Scratch(const ScoringCore& core) : scorer(core.plan_) {}
+
+    struct Slot {
+      FrameResult result;  // edge_set kept until scored
+      std::uint64_t extract_ns = 0;
+      std::uint64_t detect_ns = 0;
+    };
+    vprofile::BatchScorer scorer;
+    std::vector<Slot> slots;
+    std::vector<const vprofile::EdgeSet*> to_score;
+    std::vector<std::size_t> score_slot;  // slot index per to_score entry
+    std::vector<vprofile::Detection> detections;
+  };
+
+  /// Scores `jobs` as one batch and emits exactly one result per job, in
+  /// order.
+  void score_jobs(Scratch& scratch, const std::vector<Job>& jobs,
+                  const Emit& emit);
+  /// Emits frame `seq` as a contained worker_error without scoring it,
+  /// through the same accounting as a stage that threw.
+  void fail_job(std::uint64_t seq, const Emit& emit);
+
+  /// Intake accounting for the queue in front of the step: one frame
+  /// submitted (`depth` now wait), and whether a full queue dropped it.
+  void note_submitted(std::size_t depth, bool dropped = false);
+  /// Queue depth gauge; no-op unless metered().
+  void note_depth(std::size_t depth);
+  bool metered() const { return obs_.queue_depth != nullptr; }
+
+  CountersSnapshot counters(std::size_t queue_high_watermark) const {
+    return counters_.snapshot(queue_high_watermark);
+  }
+  const PipelineConfig& config() const { return config_; }
+
+ private:
+  /// Pre-registered metric handles, resolved once in the constructor so
+  /// the hot path never touches the registry mutex.  All null when
+  /// config_.metrics is null.
+  struct Instruments {
+    obs::Counter* submitted = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* dropped = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Histogram* extract_latency = nullptr;
+    obs::Histogram* detect_latency = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+    /// Lazily resolved per-source-address series (detect_latency_ns{sa}).
+    /// Benign races: the registry hands every thread the same pointer.
+    std::array<std::atomic<obs::Histogram*>, 256> detect_by_sa{};
+  };
+
+  obs::Histogram* sa_histogram(std::uint8_t sa);
+  void complete_slot(Scratch::Slot& slot, std::uint64_t t_start,
+                     const Emit& emit);
+
+  const vprofile::Model& model_;
+  PipelineConfig config_;
+  /// Immutable scoring operands (resolved backend, cached Cholesky
+  /// factors, fixed-point quants), shared read-only by every Scratch's
+  /// BatchScorer.  Built once here — "model load" time.
+  vprofile::ScoringPlan plan_;
+  Counters counters_;
+  Instruments obs_;
+};
+
+/// Worker-pool pipeline over one trained model: a bounded queue, workers
+/// running ScoringCore::score_jobs on each batch they pop, and an ordered
+/// collector.  The model must outlive the pipeline and is never mutated
+/// through it.
 class DetectionPipeline {
  public:
   using ResultSink = std::function<void(FrameResult&&)>;
@@ -152,49 +239,21 @@ class DetectionPipeline {
   void finish();
 
   /// Observability.  Stable after finish(); a live approximation before.
-  CountersSnapshot counters() const;
+  CountersSnapshot counters() const {
+    return core_.counters(queue_.high_watermark());
+  }
   std::size_t queue_depth() const { return queue_.size(); }
 
-  const PipelineConfig& config() const { return config_; }
+  const PipelineConfig& config() const { return core_.config(); }
 
  private:
-  struct Job {
-    std::uint64_t seq = 0;
-    dsp::Trace trace;
-    /// Tracer timestamp at enqueue; 0 when tracing is off.  Lets the
-    /// worker emit the queue-wait span without a second submit-side clock.
-    std::uint64_t submit_ns = 0;
-  };
-
-  /// Pre-registered metric handles, resolved once in the constructor so
-  /// the hot path never touches the registry mutex.  All null when
-  /// config_.metrics is null.
-  struct Instruments {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Histogram* extract_latency = nullptr;
-    obs::Histogram* detect_latency = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    /// Lazily resolved per-source-address series (detect_latency_ns{sa}).
-    /// Benign races: the registry hands every thread the same pointer.
-    std::array<std::atomic<obs::Histogram*>, 256> detect_by_sa{};
-  };
-
-  obs::Histogram* sa_histogram(std::uint8_t sa);
   void worker_loop();
 
-  const vprofile::Model& model_;
-  PipelineConfig config_;
-  /// Immutable scoring operands (resolved backend, cached Cholesky
-  /// factors, fixed-point quants), shared read-only by every worker's
-  /// BatchScorer.  Built once here — "model load" time.
-  vprofile::ScoringPlan plan_;
-  Counters counters_;
-  Instruments obs_;
+  ScoringCore core_;
   RingQueue<Job> queue_;
   OrderedCollector<FrameResult> collector_;
+  /// Built once: hands each scored result to the collector.
+  ScoringCore::Emit emit_;
   std::vector<std::thread> workers_;
   std::mutex submit_mu_;  // serializes seq assignment with enqueue/drop
   std::mutex join_mu_;    // serializes worker joining across finish() calls

@@ -108,11 +108,6 @@ class RingQueue {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return count_;

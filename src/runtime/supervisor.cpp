@@ -6,6 +6,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "core/detector.hpp"
@@ -16,17 +17,7 @@
 namespace runtime {
 namespace {
 
-/// FNV-1a fold (determinism, not cryptography) — same discipline as the
-/// scenario fingerprints: run-to-run comparison only, never golden
-/// constants.
-std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
-  for (std::size_t i = 0; i < sizeof(value); ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+using vprofile::fnv1a_u64;
 
 /// One code per way a frame can end, for the fingerprint.
 std::uint64_t outcome_code(const pipeline::FrameResult& r) {
@@ -157,16 +148,16 @@ Supervisor::Supervisor(vprofile::Model model, SupervisorConfig config,
       model_(std::make_shared<const vprofile::Model>(std::move(model))),
       watchdog_(config_.watchdog),
       sentinel_(model_->clusters().size(), config_.drift) {
+  if (!config_.lockstep && !config_.fault_plan.stalls.empty()) {
+    throw std::invalid_argument(
+        "Supervisor: worker stall plans are modelled in lockstep only");
+  }
   if (config_.online_update) config_.pipeline.keep_edge_set = true;
   if (config_.validation_holdout_stride == 0) {
     config_.validation_holdout_stride = 1;
   }
   if (!config_.checkpoint_dir.empty()) {
     store_.emplace(config_.checkpoint_dir);
-  }
-  gates_.reserve(config_.fault_plan.stalls.size());
-  for (std::size_t i = 0; i < config_.fault_plan.stalls.size(); ++i) {
-    gates_.push_back(std::make_unique<faults::StallGate>());
   }
   if (obs::MetricsRegistry* reg = config_.pipeline.metrics) {
     watchdog_.bind_metrics(reg);
@@ -191,46 +182,29 @@ Supervisor::Supervisor(vprofile::Model model, SupervisorConfig config,
     rc.context_json = [this] { return context_json(); };
     recorder_ = std::make_unique<obs::FlightRecorder>(std::move(rc));
   }
-  create_pipeline();
+  emit_ = [this](pipeline::FrameResult&& r) { handle(std::move(r)); };
+  create_scorer_locked();
 }
 
 Supervisor::~Supervisor() { finish(); }
 
-void Supervisor::create_pipeline() {
-  pipeline::PipelineConfig pc = config_.pipeline;
-  pc.stage_hook = [this](std::uint64_t seq, const dsp::Trace&) {
-    stage_hook(seq);
-  };
-  pipe_ = std::make_unique<pipeline::DetectionPipeline>(
-      *model_, pc,
-      [this](pipeline::FrameResult&& r) { handle(std::move(r)); });
-}
-
-// Sanctioned hot-path boundary: the supervision control plane is allowed
-// to gate, stall and heal the pipeline by design — its cost is the price
-// of fault injection, not part of the scoring contract.
-// vprofile-lint: cold
-void Supervisor::stage_hook(std::uint64_t local_seq) {
-  const std::uint64_t global =
-      base_seq_.load(std::memory_order_relaxed) + local_seq;
-  for (std::size_t i = 0; i < config_.fault_plan.stalls.size(); ++i) {
-    if (config_.fault_plan.stalls[i].frame_index != global) continue;
-    if (gates_[i]->released()) continue;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++wedged_;
-    }
-    handled_cv_.notify_all();
-    gates_[i]->wait();  // blocks, then throws StallReleased
+void Supervisor::create_scorer_locked() {
+  if (config_.lockstep) {
+    core_ = std::make_unique<pipeline::ScoringCore>(*model_, config_.pipeline);
+    scratch_ = std::make_unique<pipeline::ScoringCore::Scratch>(*core_);
+    return;
   }
+  pipe_ = std::make_unique<pipeline::DetectionPipeline>(
+      *model_, config_.pipeline, [this](pipeline::FrameResult&& r) {
+        // Sink consumers see the supervisor's global frame numbering,
+        // stable across pipeline restarts.
+        r.seq += base_seq_.load(std::memory_order_relaxed);
+        handle(std::move(r));
+      });
 }
 
 void Supervisor::handle(pipeline::FrameResult&& result) {
-  const std::uint64_t global =
-      base_seq_.load(std::memory_order_relaxed) + result.seq;
-  // Sink consumers see the supervisor's global frame numbering, stable
-  // across pipeline restarts.
-  result.seq = global;
+  const std::uint64_t global = result.seq;
   bool drift_alarm = false;
   std::uint32_t generation = 0;
   {
@@ -283,14 +257,13 @@ void Supervisor::handle(pipeline::FrameResult&& result) {
         stats_.frames_handled % config_.checkpoint_every == 0) {
       checkpoint_due_ = true;
     }
-    ++total_handled_;
   }
-  handled_cv_.notify_all();
   if (recorder_ != nullptr) {
     // Outside mu_: record() is lock-free but an armed trigger may emit a
     // bundle here, and bundle context re-enters the supervisor's locked
-    // accessors.  handle() is the pipeline's serialized result path, so
-    // the recorder's single-writer contract holds.
+    // accessors.  handle() is the serialized result path (the pipeline's
+    // collector, or the caller's thread in lockstep), so the recorder's
+    // single-writer contract holds.
     recorder_->record(make_evidence(
         result, last_poll_ns_.load(std::memory_order_relaxed), generation));
     if (result.detection.has_value() && result.detection->is_anomaly()) {
@@ -344,12 +317,14 @@ void Supervisor::validate_candidate_locked() {
 std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
   apply_control();
   std::uint64_t global = 0;
+  bool score_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return std::nullopt;
     ++stats_.frames_offered;
     if (config_.governor_high_water != 0) {
-      const std::size_t depth = pipe_->queue_depth();
+      const std::size_t depth =
+          pipe_ != nullptr ? pipe_->queue_depth() : backlog_.size();
       if (!governor_active_ && depth >= config_.governor_high_water) {
         governor_active_ = true;
         if (recorder_ != nullptr) {
@@ -373,30 +348,60 @@ std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
         }
       }
     }
-    // Global index of the frame about to be forwarded: every previously
-    // forwarded frame claimed exactly one pipeline seq, across restarts.
-    global = expected_results_;
+    // Every forwarded frame claims exactly one global index and produces
+    // exactly one ordered result (scored, worker_error, or dropped).
+    global = stats_.frames_submitted++;
+    if (config_.lockstep) score_now = intake_locked(global, trace);
   }
-  // Enqueue outside the lock: blocking-mode backpressure must not hold up
-  // the result handler.
-  pipe_->submit(std::move(trace));
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Every forwarded frame produces exactly one ordered result (scored,
-    // worker_error, or dropped-by-queue).
-    ++expected_results_;
-    ++stats_.frames_submitted;
-    if (config_.lockstep) {
-      // Wait for the frame's result, or for a visibly wedged worker — a
-      // planned stall must hand control back so the caller can drive the
-      // watchdog.
-      handled_cv_.wait(lock, [&] {
-        return total_handled_ >= expected_results_ || wedged_ > 0;
-      });
-    }
+  if (score_now) {
+    jobs_.clear();
+    jobs_.push_back(pipeline::Job{global, std::move(trace), 0});
+    core_->score_jobs(*scratch_, jobs_, emit_);
+  } else if (!config_.lockstep) {
+    // Enqueue outside the lock: blocking-mode backpressure must not hold
+    // up the result handler.
+    pipe_->submit(std::move(trace));
   }
   apply_control();
   return global;
+}
+
+bool Supervisor::intake_locked(std::uint64_t global, dsp::Trace& trace) {
+  if (!parked_.has_value()) {
+    for (const faults::WorkerStallPlan& stall : config_.fault_plan.stalls) {
+      if (stall.frame_index == global) parked_ = global;
+    }
+    core_->note_submitted(0);
+    return !parked_.has_value();
+  }
+  // Behind a parked frame: queue in order, or — the backlog being full —
+  // refuse it as the ring refuses a non-blocking push.  Only the caller's
+  // own poll() can drain the backlog, so blocking here could never end.
+  const bool room = backlog_drops_ == 0 &&
+                    backlog_.size() < config_.pipeline.queue_capacity;
+  if (room) {
+    backlog_.push_back(pipeline::Job{global, std::move(trace), 0});
+    backlog_high_ = std::max(backlog_high_, backlog_.size());
+  } else {
+    ++backlog_drops_;
+  }
+  core_->note_submitted(backlog_.size(), !room);
+  return false;
+}
+
+void Supervisor::release_parked() {
+  if (!parked_.has_value()) return;
+  std::uint64_t seq = *std::exchange(parked_, std::nullopt);
+  std::vector<pipeline::Job> backlog = std::exchange(backlog_, {});
+  core_->fail_job(seq, emit_);
+  if (!backlog.empty()) core_->score_jobs(*scratch_, backlog, emit_);
+  for (seq += backlog.size(); backlog_drops_ > 0; --backlog_drops_) {
+    pipeline::FrameResult dropped;
+    dropped.seq = ++seq;
+    dropped.dropped = true;
+    handle(std::move(dropped));
+  }
+  core_->note_depth(0);
 }
 
 void Supervisor::poll(std::uint64_t now_ns) {
@@ -406,7 +411,7 @@ void Supervisor::poll(std::uint64_t now_ns) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return;
-    const pipeline::CountersSnapshot live = pipe_->counters();
+    const pipeline::CountersSnapshot live = live_counters_locked();
     const std::uint64_t completed =
         accumulated_.completed.value() + live.completed.value();
     const bool pending =
@@ -449,37 +454,23 @@ void Supervisor::trigger_incident(const char* detail) {
                              detail != nullptr ? detail : "operator request");
 }
 
-void Supervisor::release_armed_gates() {
-  std::uint64_t forwarded = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    forwarded = expected_results_;
-  }
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    if (gates_[i]->released()) continue;
-    // A gate whose planned frame was already forwarded either holds the
-    // wedged worker right now or will be reached during the drain below;
-    // releasing only gates that report entered() races with the worker
-    // between its wedged_ increment and gate wait, and a drain against an
-    // armed, unreleased gate never returns.  Gates for frames not yet
-    // forwarded stay armed.
-    if (config_.fault_plan.stalls[i].frame_index < forwarded ||
-        gates_[i]->entered()) {
-      gates_[i]->release();
-    }
-  }
+void Supervisor::accumulate_counters_locked() {
+  add_snapshot(accumulated_, live_counters_locked());
+  base_seq_.store(accumulated_.submitted.value(), std::memory_order_relaxed);
 }
 
-void Supervisor::accumulate_counters_locked() {
-  add_snapshot(accumulated_, pipe_->counters());
-  base_seq_.store(accumulated_.submitted.value(), std::memory_order_relaxed);
-  wedged_ = 0;
+pipeline::CountersSnapshot Supervisor::live_counters_locked() const {
+  return pipe_ != nullptr ? pipe_->counters() : core_->counters(backlog_high_);
 }
 
 void Supervisor::restart_pipeline(std::optional<vprofile::Model> new_model) {
-  release_armed_gates();
-  pipe_->finish();  // drains: every accepted frame is handled before this
-                    // returns, so the swap below is a clean generation cut
+  // Drain: every accepted frame is handled before this returns, so the
+  // swap below is a clean generation cut.
+  if (pipe_ != nullptr) {
+    pipe_->finish();
+  } else {
+    release_parked();
+  }
   std::lock_guard<std::mutex> lock(mu_);
   accumulate_counters_locked();
   if (new_model.has_value()) {
@@ -489,7 +480,7 @@ void Supervisor::restart_pipeline(std::optional<vprofile::Model> new_model) {
     if (health_ != HealthState::kDegraded) health_ = HealthState::kHealthy;
   }
   pipe_.reset();
-  create_pipeline();
+  create_scorer_locked();
 }
 
 void Supervisor::apply_control() {
@@ -534,8 +525,11 @@ void Supervisor::finish() {
     if (finished_) return;
   }
   apply_control();
-  release_armed_gates();
-  pipe_->finish();
+  if (pipe_ != nullptr) {
+    pipe_->finish();
+  } else {
+    release_parked();
+  }
   std::optional<vprofile::Model> promote;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -664,7 +658,7 @@ SupervisorStats Supervisor::stats() const {
 pipeline::CountersSnapshot Supervisor::pipeline_counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   pipeline::CountersSnapshot snap = accumulated_;
-  if (pipe_ != nullptr && !finished_) add_snapshot(snap, pipe_->counters());
+  if (!finished_) add_snapshot(snap, live_counters_locked());
   return snap;
 }
 

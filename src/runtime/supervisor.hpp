@@ -1,13 +1,12 @@
-// Self-healing supervision around pipeline::DetectionPipeline.
+// Self-healing supervision around the pipeline's scoring step.
 //
 // The pipeline scores frames; the supervisor keeps the *monitor* alive
 // and the *model* honest across hours of unattended operation:
 //
 //  * Watchdog — judges liveness from completed-frame progress on an
 //    externally supplied clock (poll(now_ns)); a wedged stage is released
-//    (the planned-stall gate throws into the pipeline's per-frame
-//    exception containment), the pipeline is drained and recreated, and
-//    restarts back off exponentially up to a budget.
+//    (its frame becomes one contained worker_error), the scorer is drained
+//    and recreated, and restarts back off exponentially up to a budget.
 //  * Drift sentinel — Page–Hinkley over per-cluster distance streams;
 //    an alarm escalates healthy -> drifting and starts a retrain
 //    candidate.
@@ -24,13 +23,18 @@
 //    supervisor sheds load deterministically (keep 1 of every
 //    decimation_stride frames) until it falls below the low-water mark.
 //
-// Threading contract: one producer thread calls submit()/poll()/finish();
-// results are handled on worker threads (serialized, in capture order) and
-// forwarded to the caller's sink.  In lockstep mode submit() additionally
-// waits for the frame's result (or a visibly wedged worker), which makes
-// the entire supervised run — verdicts, promotions, restarts — a pure
-// function of (model, config, input stream): the soak harness's
-// bit-identical-fingerprint guarantee.
+// Threading contract: one producer thread calls submit()/poll()/finish().
+// Free-running, results are handled on DetectionPipeline worker threads
+// (serialized, in capture order) and forwarded to the caller's sink.
+// Lockstep has no pipeline and no thread: submit() runs the pipeline's
+// ScoringCore step and handle() on the caller's thread, so the whole
+// supervised run — verdicts, promotions, restarts — is a pure function of
+// (model, config, input stream): the soak harness's bit-identical-
+// fingerprint guarantee.  A planned stall (lockstep only) parks its frame
+// unscored; later frames wait in a FIFO backlog (bounded by
+// queue_capacity, and the depth the governor and watchdog see) until a
+// watchdog restart or finish() emits the parked frame as a worker_error
+// and scores the backlog in order.
 #pragma once
 
 #include <atomic>
@@ -44,8 +48,7 @@
 #include <string>
 #include <vector>
 
-#include <condition_variable>
-
+#include "core/fnv1a.hpp"
 #include "core/model.hpp"
 #include "core/online_update.hpp"
 #include "faults/runtime_fault.hpp"
@@ -64,9 +67,9 @@ class MetricsRegistry;
 namespace runtime {
 
 struct SupervisorConfig {
-  /// Base pipeline tuning.  keep_edge_set is forced on while online
-  /// updates are enabled; stage_hook is owned by the supervisor (any
-  /// caller-provided hook is replaced).
+  /// Base pipeline tuning (lockstep uses the scoring fields and
+  /// queue_capacity, which bounds the stall backlog).  keep_edge_set is
+  /// forced on while online updates are enabled.
   pipeline::PipelineConfig pipeline;
   WatchdogConfig watchdog;
   DriftConfig drift;
@@ -98,11 +101,12 @@ struct SupervisorConfig {
   std::size_t governor_low_water = 0;
   std::size_t decimation_stride = 2;
 
-  /// Deterministic mode: submit() waits for the frame's result (or a
-  /// wedged worker) before returning.
+  /// Deterministic mode: submit() scores the frame inline and hands its
+  /// result to the sink before returning (see the threading contract).
   bool lockstep = false;
   /// Injected runtime failures (soak harness).  Stall plans are keyed on
-  /// the supervisor's global frame index.
+  /// the supervisor's global frame index and need lockstep (the
+  /// constructor throws std::invalid_argument otherwise).
   faults::RuntimeFaultPlan fault_plan;
 
   /// Flight recorder: per-frame evidence ring + freeze-on-trigger
@@ -178,16 +182,23 @@ class Supervisor {
   std::uint64_t fingerprint() const;
 
  private:
-  void create_pipeline();
+  /// Builds the current generation's scorer: a DetectionPipeline, or the
+  /// inline step in lockstep.  Caller holds mu_ (or is the constructor).
+  void create_scorer_locked();
   void handle(pipeline::FrameResult&& result);
-  void stage_hook(std::uint64_t local_seq);
+  /// Lockstep intake under mu_: parks a planned-stall frame or queues the
+  /// frame behind a parked one.  True when the frame is to be scored now.
+  bool intake_locked(std::uint64_t global, dsp::Trace& trace);
+  /// Lockstep: emits the parked frame as a worker_error, then scores the
+  /// backlog in order.  No-op when nothing is parked.
+  void release_parked();
   /// Applies pending promotion / checkpoint decisions.  Must be called
   /// without mu_ held (drains the pipeline).
   void apply_control();
-  /// Drains + recreates the pipeline; new_model empty = keep current.
+  /// Drains + recreates the scorer; new_model empty = keep current.
   void restart_pipeline(std::optional<vprofile::Model> new_model);
   void accumulate_counters_locked();
-  void release_armed_gates();
+  pipeline::CountersSnapshot live_counters_locked() const;
   void validate_candidate_locked();
   /// Bundle "context" object: detection config, deterministic counters,
   /// supervisor stats.  Takes mu_; call without it held.
@@ -196,24 +207,32 @@ class Supervisor {
   SupervisorConfig config_;
   ResultSink sink_;
   std::shared_ptr<const vprofile::Model> model_;
-  std::unique_ptr<pipeline::DetectionPipeline> pipe_;
+  std::unique_ptr<pipeline::DetectionPipeline> pipe_;  // free-running
+  /// Lockstep: the pipeline's scoring step, run on the caller's thread.
+  std::unique_ptr<pipeline::ScoringCore> core_;
+  std::unique_ptr<pipeline::ScoringCore::Scratch> scratch_;
+  std::vector<pipeline::Job> jobs_;
+  pipeline::ScoringCore::Emit emit_;  // inline result -> handle()
   Watchdog watchdog_;
   DriftSentinel sentinel_;
   std::optional<CheckpointStore> store_;
-  std::vector<std::unique_ptr<faults::StallGate>> gates_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
   /// Caller's clock from the last poll(); stamps evidence records, so
   /// under lockstep + virtual clock the records stay deterministic.
   std::atomic<std::uint64_t> last_poll_ns_{0};
 
   mutable std::mutex mu_;
-  std::condition_variable handled_cv_;
-  /// Global index of the current pipeline's local seq 0.
+  /// Free-running: global index of the current pipeline's local seq 0.
   std::atomic<std::uint64_t> base_seq_{0};
-  std::uint64_t expected_results_ = 0;  // frames forwarded to any pipeline
-  std::uint64_t total_handled_ = 0;
-  std::uint64_t wedged_ = 0;  // workers currently blocked on a stall gate
-  std::uint64_t fingerprint_ = 0xcbf29ce484222325ULL;
+  /// Lockstep planned-stall model (producer thread only, except
+  /// backlog_high_, which mu_ guards): the parked frame's global index, the
+  /// frames forwarded behind it, and how many of those a full backlog
+  /// refused (they follow the backlog in global order).
+  std::optional<std::uint64_t> parked_;
+  std::vector<pipeline::Job> backlog_;
+  std::uint64_t backlog_drops_ = 0;
+  std::size_t backlog_high_ = 0;
+  std::uint64_t fingerprint_ = vprofile::kFnv1aOffset;
   HealthState health_ = HealthState::kHealthy;
   bool finished_ = false;
   bool governor_active_ = false;

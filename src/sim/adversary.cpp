@@ -10,6 +10,7 @@
 
 #include "core/detector.hpp"
 #include "core/extractor.hpp"
+#include "core/fnv1a.hpp"
 #include "faults/fault.hpp"
 #include "linalg/fixed_point.hpp"
 #include "obs/metrics.hpp"
@@ -22,28 +23,14 @@
 namespace sim {
 namespace {
 
-/// FNV-1a over raw bytes (same constants as the scenario fingerprint —
-/// determinism, not cryptographic strength).
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a_init() { return 0xcbf29ce484222325ULL; }
-
-std::uint64_t hash_u64(std::uint64_t hash, std::uint64_t value) {
-  return fnv1a(hash, &value, sizeof(value));
-}
+using vprofile::fnv1a;
+using vprofile::fnv1a_u64;
 
 std::uint64_t hash_double(std::uint64_t hash, double value) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
-  return hash_u64(hash, bits);
+  return fnv1a_u64(hash, bits);
 }
 
 /// %.17g round-trips every double exactly, so serialization is a pure
@@ -153,25 +140,25 @@ const char* to_string(DefenseArm arm) {
 }
 
 std::uint64_t FrontierReport::fingerprint() const {
-  std::uint64_t h = fnv1a_init();
-  h = hash_u64(h, seed);
-  h = hash_u64(h, families.size());
+  std::uint64_t h = vprofile::kFnv1aOffset;
+  h = fnv1a_u64(h, seed);
+  h = fnv1a_u64(h, families.size());
   for (const FamilyFrontier& f : families) {
-    h = hash_u64(h, static_cast<std::uint64_t>(f.family));
-    h = hash_u64(h, f.evaluations);
-    h = hash_u64(h, f.generations);
-    h = hash_u64(h, f.closing_defense.has_value()
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(f.family));
+    h = fnv1a_u64(h, f.evaluations);
+    h = fnv1a_u64(h, f.generations);
+    h = fnv1a_u64(h, f.closing_defense.has_value()
                         ? static_cast<std::uint64_t>(*f.closing_defense)
                         : 0xffffffffULL);
     for (double p : f.weakest.params) h = hash_double(h, p);
     for (const ArmOutcome& a : f.weakest.arms) {
       h = hash_double(h, a.detection_rate);
       h = hash_double(h, a.margin);
-      h = hash_u64(h, a.attack_frames);
-      h = hash_u64(h, a.detected);
-      h = hash_u64(h, a.stream_alarm ? 1 : 0);
-      h = hash_u64(h, a.promotions);
-      h = hash_u64(h, a.rollbacks);
+      h = fnv1a_u64(h, a.attack_frames);
+      h = fnv1a_u64(h, a.detected);
+      h = fnv1a_u64(h, a.stream_alarm ? 1 : 0);
+      h = fnv1a_u64(h, a.promotions);
+      h = fnv1a_u64(h, a.rollbacks);
     }
   }
   return h;

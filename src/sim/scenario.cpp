@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/extractor.hpp"
+#include "core/fnv1a.hpp"
 #include "core/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
@@ -12,30 +13,13 @@
 #include "sim/presets.hpp"
 
 namespace sim {
-namespace {
 
-/// FNV-1a over raw bytes; the only property needed is determinism across
-/// runs and platforms, not cryptographic strength.
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a_init() { return 0xcbf29ce484222325ULL; }
-
-std::uint64_t hash_u64(std::uint64_t hash, std::uint64_t value) {
-  return fnv1a(hash, &value, sizeof(value));
-}
-
-}  // namespace
+using vprofile::fnv1a;
+using vprofile::fnv1a_u64;
 
 units::Seed64 derive_stream_seed(units::Seed64 seed,
                                  const std::string& purpose) {
-  std::uint64_t h = hash_u64(fnv1a_init(), seed.value());
+  std::uint64_t h = fnv1a_u64(vprofile::kFnv1aOffset, seed.value());
   h = fnv1a(h, purpose.data(), purpose.size());
   // Avoid the degenerate all-zero mt19937 seed.
   return units::Seed64{h == 0 ? 0x9e3779b97f4a7c15ULL : h};
@@ -58,19 +42,19 @@ std::string Scenario::name() const {
 }
 
 std::uint64_t ScenarioMetrics::fingerprint() const {
-  std::uint64_t h = fnv1a_init();
-  h = hash_u64(h, confusion.true_positives());
-  h = hash_u64(h, confusion.true_negatives());
-  h = hash_u64(h, confusion.false_positives());
-  h = hash_u64(h, confusion.false_negatives());
-  h = hash_u64(h, extraction_failures);
-  h = hash_u64(h, degraded);
-  for (std::uint64_t a : fault_stats.applied) h = hash_u64(h, a);
-  h = hash_u64(h, fault_stats.faulted_traces);
-  h = hash_u64(h, fault_stats.total_traces);
-  for (std::uint64_t e : pipeline_counters.extract_errors) h = hash_u64(h, e);
-  for (std::uint64_t v : pipeline_counters.verdicts) h = hash_u64(h, v);
-  h = hash_u64(h, pipeline_counters.worker_errors);
+  std::uint64_t h = vprofile::kFnv1aOffset;
+  h = fnv1a_u64(h, confusion.true_positives());
+  h = fnv1a_u64(h, confusion.true_negatives());
+  h = fnv1a_u64(h, confusion.false_positives());
+  h = fnv1a_u64(h, confusion.false_negatives());
+  h = fnv1a_u64(h, extraction_failures);
+  h = fnv1a_u64(h, degraded);
+  for (std::uint64_t a : fault_stats.applied) h = fnv1a_u64(h, a);
+  h = fnv1a_u64(h, fault_stats.faulted_traces);
+  h = fnv1a_u64(h, fault_stats.total_traces);
+  for (std::uint64_t e : pipeline_counters.extract_errors) h = fnv1a_u64(h, e);
+  for (std::uint64_t v : pipeline_counters.verdicts) h = fnv1a_u64(h, v);
+  h = fnv1a_u64(h, pipeline_counters.worker_errors);
   return h;
 }
 

@@ -1,19 +1,26 @@
 // Unit tests for the runtime supervision layer: watchdog stall/backoff
 // discipline, Page–Hinkley drift sentinel, crash-safe checkpoint store
 // (commit/rotate/corrupt/recover), and the Supervisor's clean-path
-// equivalence, governor decimation, and lifecycle bookkeeping.  The
-// deterministic end-to-end recovery scenarios live in test_runtime_soak.
+// equivalence, governor decimation, and lifecycle bookkeeping, plus the
+// inline lockstep path's equivalence with the threaded pipeline and the
+// sequential oracle.  The deterministic end-to-end recovery scenarios
+// live in test_runtime_soak.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/extractor.hpp"
+#include "core/fnv1a.hpp"
 #include "core/online_update.hpp"
 #include "core/trainer.hpp"
 #include "dsp/trace.hpp"
+#include "faults/fault.hpp"
 #include "faults/runtime_fault.hpp"
 #include "fleet/fleet_service.hpp"
 #include "pipeline/pipeline.hpp"
@@ -23,6 +30,7 @@
 #include "runtime/watchdog.hpp"
 #include "sim/attack.hpp"
 #include "sim/presets.hpp"
+#include "sim/scenario.hpp"
 #include "sim/vehicle.hpp"
 
 namespace {
@@ -591,6 +599,200 @@ TEST(SupervisorTest, ResultSeqIsGlobalAcrossRestarts) {
     EXPECT_EQ(seqs[i], i) << "global numbering must survive the restart";
   }
   EXPECT_EQ(sup.stats().restarts, 1u);
+}
+
+TEST(SupervisorTest, StallPlansNeedLockstep) {
+  runtime::SupervisorConfig sc;
+  sc.fault_plan.stalls.push_back({0});
+  EXPECT_THROW(runtime::Supervisor(*fixture().model, sc),
+               std::invalid_argument);
+  sc.lockstep = true;
+  EXPECT_NO_THROW(runtime::Supervisor(*fixture().model, sc));
+}
+
+// -------------------------------------------- inline lockstep equivalence
+
+/// One vehicle's clean-trained model and a hijack stream passed through
+/// faults::harsh_environment(), so extraction-error exits occur next to
+/// scored frames.
+struct HarshStream {
+  std::optional<vprofile::Model> model;
+  vprofile::DetectionConfig detection;
+  std::vector<dsp::Trace> traces;
+};
+
+HarshStream harsh_stream(const sim::VehicleConfig& config, std::uint64_t seed) {
+  HarshStream hs;
+  sim::Vehicle vehicle(config, seed);
+  const analog::Environment env = analog::Environment::reference();
+  const vprofile::ExtractionConfig ex = sim::default_extraction(config);
+  std::vector<vprofile::EdgeSet> training;
+  for (const sim::Capture& cap : vehicle.capture(1200, env)) {
+    if (auto es = vprofile::extract_edge_set(cap.codes, ex)) {
+      training.push_back(std::move(*es));
+    }
+  }
+  vprofile::TrainingConfig tc;
+  tc.extraction = ex;
+  auto out = vprofile::train_with_database(training, vehicle.database(), tc);
+  EXPECT_TRUE(out.ok()) << out.error;
+  if (!out.ok()) return hs;
+  hs.model = std::move(*out.model);
+  hs.detection = sim::scenario_detection_config(config, 0.0);
+  faults::FaultInjector injector(faults::harsh_environment(),
+                                 static_cast<double>(config.adc.max_code()),
+                                 seed);
+  for (sim::LabeledCapture& lc :
+       sim::make_hijack_stream(vehicle, 300, 0.1, env)) {
+    hs.traces.push_back(injector.apply(lc.capture.codes));
+  }
+  return hs;
+}
+
+struct StreamRun {
+  std::vector<pipeline::FrameResult> results;
+  std::uint64_t fingerprint = 0;
+};
+
+StreamRun run_stream(const HarshStream& hs, bool lockstep,
+                     std::size_t workers) {
+  runtime::SupervisorConfig sc;
+  sc.lockstep = lockstep;
+  sc.online_update = false;
+  sc.pipeline.num_workers = workers;
+  sc.pipeline.detection = hs.detection;
+  StreamRun run;
+  runtime::Supervisor sup(*hs.model, sc, [&](const pipeline::FrameResult& r) {
+    run.results.push_back(r);
+  });
+  for (const dsp::Trace& t : hs.traces) sup.submit(t);
+  sup.finish();
+  run.fingerprint = sup.fingerprint();
+  return run;
+}
+
+/// The supervisor's fingerprint fold (global seq, outcome code, distance
+/// bits; then decimated, promotions, rollbacks — all 0 here), recomputed
+/// over a plain result stream.
+std::uint64_t fold(const std::vector<pipeline::FrameResult>& results) {
+  std::uint64_t h = vprofile::kFnv1aOffset;
+  for (const pipeline::FrameResult& r : results) {
+    h = vprofile::fnv1a_u64(h, r.seq);
+    std::uint64_t code = 32;
+    if (r.dropped) {
+      code = 1;
+    } else if (r.worker_error) {
+      code = 2;
+    } else if (r.extract_error != vprofile::ExtractError::kNone) {
+      code = 16 + static_cast<std::uint64_t>(r.extract_error);
+    } else {
+      code += static_cast<std::uint64_t>(r.detection->verdict);
+    }
+    h = vprofile::fnv1a_u64(h, code);
+    if (r.ok()) {
+      h = vprofile::fnv1a_u64(
+          h, std::bit_cast<std::uint64_t>(r.detection->min_distance));
+    }
+  }
+  for (int i = 0; i < 3; ++i) h = vprofile::fnv1a_u64(h, 0);
+  return h;
+}
+
+void expect_same_stream(const std::vector<pipeline::FrameResult>& got,
+                        const std::vector<pipeline::FrameResult>& want,
+                        const std::string& arm) {
+  ASSERT_EQ(got.size(), want.size()) << arm;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(arm + " frame " + std::to_string(i));
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    EXPECT_EQ(got[i].dropped, want[i].dropped);
+    EXPECT_EQ(got[i].worker_error, want[i].worker_error);
+    EXPECT_EQ(got[i].extract_error, want[i].extract_error);
+    ASSERT_EQ(got[i].detection.has_value(), want[i].detection.has_value());
+    if (!got[i].detection) continue;
+    EXPECT_EQ(got[i].sa, want[i].sa);
+    EXPECT_EQ(got[i].detection->verdict, want[i].detection->verdict);
+    EXPECT_EQ(got[i].detection->expected_cluster,
+              want[i].detection->expected_cluster);
+    EXPECT_EQ(got[i].detection->predicted_cluster,
+              want[i].detection->predicted_cluster);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].detection->min_distance),
+              std::bit_cast<std::uint64_t>(want[i].detection->min_distance));
+  }
+}
+
+TEST(LockstepEquivalence, InlineMatchesThreadedAndSequentialOnVehiclesAAndB) {
+  for (const auto& [name, config] :
+       {std::pair<const char*, sim::VehicleConfig>{"a", sim::vehicle_a()},
+        {"b", sim::vehicle_b()}}) {
+    SCOPED_TRACE(std::string("vehicle ") + name);
+    const HarshStream hs = harsh_stream(config, 0x1A57);
+    ASSERT_TRUE(hs.model.has_value());
+    const std::vector<pipeline::FrameResult> oracle =
+        pipeline::score_sequential(*hs.model, hs.traces, hs.detection);
+    std::size_t extract_errors = 0;
+    std::size_t scored = 0;
+    for (const pipeline::FrameResult& r : oracle) {
+      extract_errors += r.extract_error != vprofile::ExtractError::kNone;
+      scored += r.ok();
+    }
+    ASSERT_GT(extract_errors, 0u) << "harsh faults must hit extraction";
+    ASSERT_GT(scored, oracle.size() / 2);
+
+    const StreamRun inline_run = run_stream(hs, true, 1);
+    expect_same_stream(inline_run.results, oracle, "lockstep");
+    EXPECT_EQ(inline_run.fingerprint, fold(oracle));
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      const StreamRun threaded = run_stream(hs, false, workers);
+      const std::string arm = "free-running w" + std::to_string(workers);
+      expect_same_stream(threaded.results, inline_run.results, arm);
+      EXPECT_EQ(threaded.fingerprint, inline_run.fingerprint) << arm;
+    }
+  }
+}
+
+/// The `Threads:` line of /proc/self/status.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      std::size_t n = 0;
+      status >> n;
+      return n;
+    }
+  }
+  return 0;
+}
+
+TEST(LockstepEquivalence, SixtyFourSyncTenantsStartNoThread) {
+  const Fixture& fx = fixture();
+  ASSERT_TRUE(fx.model.has_value());
+  fleet::FleetConfig fc;
+  fc.threaded = false;
+  fc.tenant.supervisor.lockstep = true;
+  fc.tenant.supervisor.online_update = false;
+  const std::size_t before = thread_count();
+  ASSERT_GT(before, 0u);
+  fleet::FleetService service(fc);
+  for (int t = 0; t < 64; ++t) {
+    std::string error;
+    ASSERT_TRUE(service.register_tenant("bus" + std::to_string(t), *fx.model,
+                                        &error))
+        << error;
+  }
+  EXPECT_EQ(thread_count(), before);
+  for (int t = 0; t < 64; ++t) {
+    EXPECT_EQ(service.ingest("bus" + std::to_string(t), fx.traces[t % 8]),
+              fleet::IngestResult::kAccepted);
+  }
+  EXPECT_EQ(thread_count(), before);
+  service.finish();
+  std::uint64_t handled = 0;
+  for (const fleet::TenantSnapshot& t : service.tenants()) {
+    handled += t.supervisor.frames_handled;
+  }
+  EXPECT_EQ(handled, 64u);
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 //   * scalar batch kernels are bit-identical to the one-frame reference
 //     (linalg::euclidean_distance / mahalanobis_distance_inv / detect()),
 //   * the AVX2 kernels are bit-identical to the scalar kernels, in every
-//     batch size and [body|tail] split the dispatcher produces,
+//     batch size and [body|tail] split the dispatcher produces — the
+//     one-frame row kernel included, at the shipped dims and every
+//     residue mod 4,
+//   * batch-of-one scoring (the lockstep serving path) is bit-identical
+//     to detect() on trained vehicle A and B models,
 //   * the int16 fixed-point backend stays inside its analytically derived
 //     error bound (ClusterQuant::distance_error_bound) and only ever flips
 //     a verdict when the oracle's own decision margin is smaller than the
@@ -24,12 +28,16 @@
 
 #include "core/batch_scorer.hpp"
 #include "core/detector.hpp"
+#include "core/extractor.hpp"
 #include "core/trainer.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/fixed_point.hpp"
 #include "linalg/mahalanobis.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/simd_kernels.hpp"
+#include "sim/attack.hpp"
+#include "sim/presets.hpp"
+#include "sim/vehicle.hpp"
 #include "stats/rng.hpp"
 #include "stats/ulp.hpp"
 
@@ -205,6 +213,99 @@ TEST(SimdKernels, Avx2MatchesScalarBitwiseIncludingTailSplit) {
       EXPECT_BITEQ(got[e], expected[e])
           << "mahalanobis n=" << n << " e=" << e;
     }
+  }
+}
+
+/// The one-frame kernel's operand: inv transposed, zero-padded to
+/// padded_rows(dim) rows — inv_t[c * rows + r] = inv(r, c).
+std::vector<double> transposed_padded(const Matrix& inv) {
+  const std::size_t dim = inv.rows();
+  const std::size_t rows = linalg::simd::padded_rows(dim);
+  std::vector<double> out(dim * rows, 0.0);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) out[c * rows + r] = inv.at(r, c);
+  }
+  return out;
+}
+
+/// Same padding, but NOT transposed: what a kernel that assumed a
+/// symmetric inverse would read.
+std::vector<double> padded_untransposed(const Matrix& inv) {
+  const std::size_t dim = inv.rows();
+  const std::size_t rows = linalg::simd::padded_rows(dim);
+  std::vector<double> out(dim * rows, 0.0);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) out[c * rows + r] = inv.at(c, r);
+  }
+  return out;
+}
+
+TEST(SimdKernels, Avx2RowKernelMatchesScalarBitwiseAtEveryDimResidue) {
+  if (!linalg::simd::cpu_has_avx2()) {
+    GTEST_SKIP() << "CPU lacks AVX2; nothing to differentiate";
+  }
+  stats::Rng rng(0x51D0005);
+  // 66 and 34 are the shipped vehicle A and B dims (both 2 mod 4); 8, 9
+  // and 11 cover the 0, 1 and 3 residues of the zero-padded row quads.
+  for (const std::size_t dim : {std::size_t{66}, std::size_t{34},
+                                std::size_t{8}, std::size_t{9},
+                                std::size_t{11}}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Vector mu(dim);
+    for (auto& m : mu) m = rng.gaussian(150.0, 10.0);
+    const auto [cov, inv] = random_spd(dim, rng);
+    // Cholesky::inverse solves column by column, so its result is not
+    // bitwise symmetric: the kernel must read a true transpose.
+    std::size_t asymmetric = 0;
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = r + 1; c < dim; ++c) {
+        if (stats::ulp_distance(inv.at(r, c), inv.at(c, r)) != 0) ++asymmetric;
+      }
+    }
+    EXPECT_GT(asymmetric, 0u);
+    const std::vector<double> inv_t = transposed_padded(inv);
+    const std::vector<double> inv_sym = padded_untransposed(inv);
+    std::vector<double> dscratch(dim * 16, 0.0);
+    std::size_t symmetric_misses = 0;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{5},
+                                std::size_t{7}, std::size_t{13},
+                                std::size_t{29}}) {
+      SoaBatch batch = random_batch(n, dim, rng, 150.0, 25.0);
+      std::vector<double> expected(batch.stride, -1.0);
+      std::vector<double> split(batch.stride, -2.0);
+      std::vector<double> rows_only(batch.stride, -3.0);
+      std::vector<double> wrong(batch.stride, -4.0);
+      linalg::simd::mahalanobis_scalar(batch.view(), mu.data(),
+                                       inv.data().data(), dscratch.data(),
+                                       expected.data(), 0, n);
+      // The scorer's split: quad body, then the one-frame kernel's tail.
+      const std::size_t body = n & ~std::size_t{3};
+      if (body > 0) {
+        linalg::simd::mahalanobis_avx2(batch.view(), mu.data(),
+                                       inv.data().data(), dscratch.data(),
+                                       split.data(), 0, body);
+      }
+      linalg::simd::mahalanobis_avx2_rows(batch.view(), mu.data(),
+                                          inv_t.data(), dscratch.data(),
+                                          split.data(), body, n);
+      linalg::simd::mahalanobis_avx2_rows(batch.view(), mu.data(),
+                                          inv_t.data(), dscratch.data(),
+                                          rows_only.data(), 0, n);
+      linalg::simd::mahalanobis_avx2_rows(batch.view(), mu.data(),
+                                          inv_sym.data(), dscratch.data(),
+                                          wrong.data(), 0, n);
+      for (std::size_t e = 0; e < n; ++e) {
+        EXPECT_BITEQ(split[e], expected[e]) << "n=" << n << " e=" << e;
+        EXPECT_BITEQ(rows_only[e], expected[e]) << "n=" << n << " e=" << e;
+        if (stats::ulp_distance(wrong[e], expected[e]) != 0) {
+          ++symmetric_misses;
+        }
+      }
+    }
+    // The harness has teeth: reading the row-major inverse as if it were
+    // its own transpose changes low bits somewhere.
+    EXPECT_GT(symmetric_misses, 0u);
   }
 }
 
@@ -575,6 +676,55 @@ TEST(BatchScorerVector, ConvenienceOverloadMatchesPointerForm) {
   ASSERT_EQ(via_vector.size(), oracle.size());
   for (std::size_t i = 0; i < via_vector.size(); ++i) {
     EXPECT_TRUE(same_detection(via_vector[i], oracle[i])) << "frame " << i;
+  }
+}
+
+/// Batch-of-one scoring is the lockstep serving path: on trained vehicle A
+/// (dim 66) and B (dim 34) models, every backend's n=1 result must equal
+/// the paper's per-frame detect().
+TEST(BatchScorerVehicles, BatchOfOneMatchesDetectOnVehiclesAAndB) {
+  struct Case {
+    sim::VehicleConfig config;
+    std::size_t dim;
+  };
+  for (const Case& vc :
+       {Case{sim::vehicle_a(), 66}, Case{sim::vehicle_b(), 34}}) {
+    sim::Vehicle vehicle(vc.config, 0x5C0BE);
+    const analog::Environment env = analog::Environment::reference();
+    const vprofile::ExtractionConfig ex = sim::default_extraction(vc.config);
+    std::vector<EdgeSet> train;
+    for (const sim::Capture& cap : vehicle.capture(1200, env)) {
+      if (auto es = vprofile::extract_edge_set(cap.codes, ex)) {
+        train.push_back(std::move(*es));
+      }
+    }
+    vprofile::TrainingConfig tc;
+    tc.extraction = ex;
+    auto out = vprofile::train_with_database(train, vehicle.database(), tc);
+    ASSERT_TRUE(out.ok()) << out.error;
+    const Model& model = *out.model;
+    ASSERT_EQ(model.dimension(), vc.dim);
+    std::vector<EdgeSet> stream;
+    for (sim::LabeledCapture& lc :
+         sim::make_hijack_stream(vehicle, 200, 0.2, env)) {
+      if (auto es = vprofile::extract_edge_set(lc.capture.codes, ex)) {
+        stream.push_back(std::move(*es));
+      }
+    }
+    ASSERT_GT(stream.size(), 150u);
+    const DetectionConfig dc = plain_config();
+    const auto oracle = oracle_detections(model, stream, dc);
+    for (const Backend backend : {Backend::kScalar, Backend::kAuto}) {
+      const ScoringPlan plan(model, backend);
+      const auto got = batched_detections(plan, stream, dc, 1);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_same_detection(got[i], oracle[i],
+                              "dim=" + std::to_string(vc.dim) + " backend=" +
+                                  std::to_string(static_cast<int>(
+                                      plan.backend())) +
+                                  " frame=" + std::to_string(i));
+      }
+    }
   }
 }
 
