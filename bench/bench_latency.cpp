@@ -159,9 +159,6 @@ BENCHMARK_CAPTURE(BM_BatchDetect, avx2, linalg::simd::Backend::kAvx2)
     ->ArgName("batch")
     ->Arg(8)
     ->Arg(32);
-BENCHMARK_CAPTURE(BM_BatchDetect, fixed, linalg::simd::Backend::kFixed)
-    ->ArgName("batch")
-    ->Arg(32);
 
 void BM_DetectionEndToEnd(benchmark::State& state) {
   // Extraction + detection: the full per-message cost a deployment pays.

@@ -9,8 +9,8 @@
 // also times the parallel trainer.  A second experiment pre-extracts the
 // stream's edge sets and times only the scoring stage: the per-frame
 // vprofile::detect() loop (the pre-batching baseline) against the SoA
-// BatchScorer on each backend (scalar / AVX2 / fixed point), asserting
-// bit-identity for the float backends.  Counts scale with
+// BatchScorer on each backend (scalar / AVX2), asserting bit-identity
+// with the per-frame loop.  Counts scale with
 // VPROFILE_BENCH_SCALE like the other benches.  Note: pipeline speedup is
 // bounded by the machine's core count — on a single-core container every
 // worker arm measures the same work; the scoring-stage arms are
@@ -167,6 +167,9 @@ int main() {
                            static_cast<std::uint64_t>(seq_s * 1e9),
                            {{"msg_per_s", seq_fps}});
 
+  // The plan every pipeline builds for itself (default dispatch); the
+  // worker arms are labelled with the backend it resolved to.
+  const vprofile::ScoringPlan serving_plan(model);
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     pipeline::PipelineConfig pc;
     pc.num_workers = workers;
@@ -185,11 +188,11 @@ int main() {
     }
     const double par_s = seconds_since(t0);
     const bool identical = streams_identical(reference, results);
-    // Label each arm with the backend its workers actually ran (kAuto
-    // resolved against this host) and the configured scoring batch size.
+    // Label each arm with the backend its workers actually ran and the
+    // configured scoring batch size.
     bench::report_section_ns(
         "detect/" + std::to_string(workers) + "-workers/" +
-            linalg::simd::to_string(linalg::simd::resolve(pc.backend)),
+            linalg::simd::to_string(serving_plan.backend()),
         static_cast<std::uint64_t>(par_s * 1e9),
         {{"msg_per_s", static_cast<double>(traces.size()) / par_s},
          {"speedup", seq_s / par_s},
@@ -207,9 +210,8 @@ int main() {
   // Extraction was hoisted out (above) so the arms time only feature
   // scoring: the per-frame vprofile::detect() loop is exactly the
   // pre-batching hot path, and every batch arm scores the same edge sets
-  // in the same order.  Float backends must reproduce the oracle
-  // bit-for-bit; the fixed-point arm is reported but only bound-checked
-  // (by the tests).
+  // in the same order.  Every backend must reproduce the oracle
+  // bit-for-bit.
   std::vector<const vprofile::EdgeSet*> set_ptrs;
   set_ptrs.reserve(stream_sets.size());
   for (const vprofile::EdgeSet& es : stream_sets) set_ptrs.push_back(&es);
@@ -243,7 +245,6 @@ int main() {
   const ScoreArm score_arms[] = {
       {"scalar", linalg::simd::Backend::kScalar},
       {"avx2", linalg::simd::Backend::kAvx2},
-      {"fixed", linalg::simd::Backend::kFixed},
   };
   for (const ScoreArm& arm : score_arms) {
     const vprofile::ScoringPlan plan(model, arm.requested);
@@ -263,7 +264,6 @@ int main() {
       }
     }
     const double arm_s = seconds_since(t0);
-    const bool must_match = arm.requested != linalg::simd::Backend::kFixed;
     const bool identical = detections_identical(oracle, got);
     bench::report_section_ns(
         "score/batch" + std::to_string(batch) + "/" + arm.label,
@@ -276,9 +276,8 @@ int main() {
                 "verdicts %s\n",
                 batch, arm.label, arm_s, scored_total / arm_s,
                 base_s / arm_s,
-                identical ? "identical"
-                          : (must_match ? "MISMATCH" : "within bound"));
-    if (must_match && !identical) return 1;
+                identical ? "identical" : "MISMATCH");
+    if (!identical) return 1;
   }
 
   std::printf("\nnote: expect ~linear scaling up to the physical core "

@@ -13,17 +13,16 @@
 //                 (factorized once and cached — also used to cross-check
 //                 that the stored inverse actually inverts the stored
 //                 covariance, which catches corrupted checkpoints at load
-//                 time instead of as NaN verdicts later), the int16
-//                 fixed-point operands, and the resolved backend.
+//                 time instead of as NaN verdicts later), and the
+//                 resolved backend.
 //   BatchScorer   per-worker scratch (SoA transpose buffers, distance
 //                 matrix) over one shared plan; scoring a batch does zero
 //                 allocations after warm-up.
 //
-// Equivalence contract: for the float backends (kScalar, kAvx2) the
-// Detection stream is bit-identical to calling vprofile::detect() per
-// edge set — same verdicts, same distances, same confidences.  The fixed
-// backend diverges within ScoringPlan::distance_error_bound().  Both
-// properties are enforced by tests/test_simd_differential.cpp.
+// Equivalence contract: on every backend (kScalar, kAvx2) the Detection
+// stream is bit-identical to calling vprofile::detect() per edge set —
+// same verdicts, same distances, same confidences.  Enforced by
+// tests/test_simd_differential.cpp.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +33,6 @@
 #include "core/detector.hpp"
 #include "core/model.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/fixed_point.hpp"
 #include "linalg/simd_dispatch.hpp"
 
 namespace vprofile {
@@ -56,8 +54,6 @@ class ScoringPlan {
   const Model& model() const { return model_; }
   /// The backend score() will actually run — never kAuto.
   linalg::simd::Backend backend() const { return backend_; }
-  /// Shared power-of-two feature grid of the fixed-point operands.
-  double feature_step() const { return feature_step_; }
 
   std::size_t num_clusters() const { return clusters_.size(); }
   std::size_t dimension() const { return model_.dimension(); }
@@ -77,12 +73,6 @@ class ScoringPlan {
     return clusters_[c].inverse_consistent;
   }
 
-  /// Worst-case fixed-point distance error for cluster `c` over queries
-  /// within `radius` of its mean per component (original feature units).
-  double distance_error_bound(std::size_t c, double radius) const {
-    return clusters_[c].fixed.distance_error_bound(radius);
-  }
-
  private:
   friend class BatchScorer;
 
@@ -97,12 +87,10 @@ class ScoringPlan {
     std::optional<linalg::Cholesky> factor;
     double ridge = 0.0;
     bool inverse_consistent = true;
-    linalg::fixed::ClusterQuant fixed;
   };
 
   const Model& model_;
   linalg::simd::Backend backend_;
-  double feature_step_ = 1.0;
   std::vector<ClusterOps> clusters_;
 };
 
@@ -114,9 +102,9 @@ class BatchScorer {
 
   const ScoringPlan& plan() const { return plan_; }
 
-  /// Classifies `count` edge sets; out[i] corresponds to sets[i].  For
-  /// float backends the results are bit-identical to vprofile::detect()
-  /// per set, in any batch size or order.
+  /// Classifies `count` edge sets; out[i] corresponds to sets[i].  The
+  /// results are bit-identical to vprofile::detect() per set, in any batch
+  /// size or order.
   void detect(const EdgeSet* const* sets, std::size_t count,
               const DetectionConfig& config, Detection* out);
 
@@ -134,7 +122,6 @@ class BatchScorer {
   std::vector<double> soa_;       // dim x stride feature transpose
   std::vector<double> dscratch_;  // centered-feature scratch, dim * 16
   std::vector<double> dist_;      // clusters x stride distances
-  std::vector<std::int16_t> soa_fx_;  // int16 transpose (fixed backend)
 };
 
 }  // namespace vprofile

@@ -5,6 +5,7 @@
 
 #include "core/fnv1a.hpp"
 #include "io/checksum.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 
 namespace fleet {
@@ -43,37 +44,6 @@ std::int64_t state_gauge_value(TenantState state) {
   return static_cast<std::int64_t>(state);
 }
 
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_kv(std::string& out, const char* key, std::uint64_t value,
                bool comma = true) {
   out += '"';
@@ -90,9 +60,8 @@ void append_kv_str(std::string& out, const char* key, const std::string& value,
                    bool comma = true) {
   out += '"';
   out += key;
-  out += "\":\"";
-  json_escape_into(out, value);
-  out += '"';
+  out += "\":";
+  out += obs::json_quote(value);
   if (comma) out += ',';
 }
 

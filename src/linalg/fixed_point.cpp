@@ -4,17 +4,6 @@
 #include <cmath>
 
 namespace linalg::fixed {
-namespace {
-
-/// Round-to-nearest on a power-of-two grid, saturated to +/-limit.
-std::int64_t round_sat(double x, std::int64_t limit) {
-  const double r = std::nearbyint(x);
-  if (r >= static_cast<double>(limit)) return limit;
-  if (r <= static_cast<double>(-limit)) return -limit;
-  return static_cast<std::int64_t>(r);
-}
-
-}  // namespace
 
 double choose_feature_step(double max_abs) {
   double step = 1.0;
@@ -24,105 +13,11 @@ double choose_feature_step(double max_abs) {
 }
 
 std::int16_t quantize_feature(double x, double step) {
-  return static_cast<std::int16_t>(round_sat(x / step, kFeatMax));
-}
-
-ClusterQuant quantize_cluster(const double* mean, const double* inv_cov,
-                              std::size_t dim, double step) {
-  ClusterQuant cq;
-  cq.dim = dim;
-  cq.step = step;
-  cq.mu_fx.resize(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    cq.mu_fx[i] = quantize_feature(mean[i], step);
-  }
-  if (inv_cov == nullptr) return cq;  // Euclidean: A = I, exact
-
-  double max_abs_a = 0.0;
-  for (std::size_t i = 0; i < dim * dim; ++i) {
-    cq.s1 += std::abs(inv_cov[i]);
-    max_abs_a = std::max(max_abs_a, std::abs(inv_cov[i]));
-  }
-  // Overflow budget: |q_fx| <= max|A_fx| * (sum|d_i|)^2 with
-  // |d_i| <= 2 * kFeatMax, so cap max|A_fx| at 2^62 / (dim * 2*kFeatMax)^2
-  // and pick the largest power-of-two a_scale under it.
-  const double sum_d = static_cast<double>(dim) * 2.0 *
-                       static_cast<double>(kFeatMax);
-  const double cap = std::ldexp(1.0, 62) / (sum_d * sum_d);
-  double a_scale = 1.0;
-  if (max_abs_a > 0.0) {
-    while (max_abs_a * a_scale * 2.0 <= cap) a_scale *= 2.0;
-    while (max_abs_a * a_scale > cap && a_scale > std::ldexp(1.0, -62)) {
-      a_scale *= 0.5;
-    }
-  }
-  cq.a_scale = a_scale;
-  cq.a_fx.resize(dim * dim);
-  for (std::size_t i = 0; i < dim * dim; ++i) {
-    cq.a_fx[i] = static_cast<std::int32_t>(
-        round_sat(inv_cov[i] * a_scale, (std::int64_t{1} << 31) - 1));
-  }
-  return cq;
-}
-
-double ClusterQuant::distance_error_bound(double radius) const {
-  // DESIGN.md "Fixed-point error bound": with per-component feature error
-  // eps = step (one step/2 rounding each for x and mu), matrix error
-  // delta_A = 0.5 / a_scale, and |d_i| <= R:
-  //   mahalanobis:  |q_hat - q| <= eps*(2R + eps)*S1 + (R + eps)^2*dim^2*dA
-  //   euclidean:    |q_hat - q| <= eps*(2R + eps)*dim
-  //   |dist_hat - dist| <= sqrt(|q_hat - q|)
-  const double eps = step;
-  const double r = std::max(0.0, radius);
-  const double n = static_cast<double>(dim);
-  double dq;
-  if (a_fx.empty()) {
-    dq = eps * (2.0 * r + eps) * n;
-  } else {
-    const double delta_a = 0.5 / a_scale;
-    dq = eps * (2.0 * r + eps) * s1 + (r + eps) * (r + eps) * n * n * delta_a;
-  }
-  return std::sqrt(dq);
-}
-
-// vprofile-lint: hot
-void euclidean_fixed(const FixedBatchView& batch, const ClusterQuant& cq,
-                     double* out, std::size_t begin, std::size_t end) {
-  for (std::size_t e = begin; e < end; ++e) {
-    std::int64_t q = 0;
-    for (std::size_t i = 0; i < batch.dim; ++i) {
-      const std::int64_t d =
-          std::int64_t{batch.soa[i * batch.stride + e]} -
-          std::int64_t{cq.mu_fx[i]};
-      q += d * d;
-    }
-    out[e] = cq.step * std::sqrt(static_cast<double>(q));
-  }
-}
-
-// vprofile-lint: hot
-void mahalanobis_fixed(const FixedBatchView& batch, const ClusterQuant& cq,
-                       double* out, std::size_t begin, std::size_t end) {
-  const std::size_t dim = batch.dim;
-  const double rescale = cq.step * cq.step / cq.a_scale;
-  for (std::size_t e = begin; e < end; ++e) {
-    std::int64_t q = 0;
-    for (std::size_t r = 0; r < dim; ++r) {
-      const std::int64_t dr =
-          std::int64_t{batch.soa[r * batch.stride + e]} -
-          std::int64_t{cq.mu_fx[r]};
-      std::int64_t s = 0;
-      const std::int32_t* row = cq.a_fx.data() + r * dim;
-      for (std::size_t c = 0; c < dim; ++c) {
-        const std::int64_t dc =
-            std::int64_t{batch.soa[c * batch.stride + e]} -
-            std::int64_t{cq.mu_fx[c]};
-        s += std::int64_t{row[c]} * dc;
-      }
-      q += dr * s;
-    }
-    out[e] = std::sqrt(std::max(0.0, static_cast<double>(q) * rescale));
-  }
+  // Round-to-nearest on the power-of-two grid, saturated to +/-kFeatMax.
+  const double r = std::clamp(std::nearbyint(x / step),
+                              -static_cast<double>(kFeatMax),
+                              static_cast<double>(kFeatMax));
+  return static_cast<std::int16_t>(r);
 }
 
 }  // namespace linalg::fixed

@@ -1,31 +1,19 @@
-// Int16 fixed-point scoring path, mirroring the paper's 12-bit ADC domain.
+// 12-bit feature quantizer, mirroring the paper's ADC domain.
 //
-// Deployments on Cortex-M/A-class monitors (HIVIDS-style static embedded
-// builds) cannot afford double-precision Mahalanobis per frame.  This path
-// quantizes features to int16 on a power-of-two grid sized so a 12-bit ADC
-// range maps 1:1 (step 1 for Vehicle B's 12-bit digitizer, step 16 for
-// Vehicle A's 16-bit card), quantizes the inverse covariance to int32 on a
-// per-cluster power-of-two scale, and evaluates the quadratic form in
-// exact int64 arithmetic — the only floating-point operations left are the
-// final rescale and sqrt.
-//
-// The divergence from the double-precision oracle is bounded, not zero:
-// distance_error_bound() computes the worst-case bound derived in
-// DESIGN.md ("Fixed-point error bound"), and the differential harness
-// asserts the empirical error stays inside it and that verdicts only ever
-// flip when the oracle's own decision margin is smaller than the bound.
+// Embedded monitors (Sagong et al.'s quantized front end, HIVIDS-style
+// static builds) see features on a coarse integer grid, not as doubles.
+// This header maps features onto a power-of-two grid sized so a 12-bit
+// ADC range maps 1:1 (step 1 for Vehicle B's 12-bit digitizer, step 16
+// for Vehicle A's 16-bit card).  The frontier's fixed-point defense arm
+// (sim/adversary.cpp) scores features rounded through this grid to ask
+// whether the embedded profile opens or closes blind spots.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace linalg::fixed {
 
-/// Largest representable quantized feature magnitude.  With features and
-/// means both clamped to [-kFeatMax, kFeatMax], a difference fits int16
-/// and (dim * 2 * kFeatMax)^2 * max|A_fx| stays inside int64 (the scale
-/// chooser enforces the last part).
+/// Largest representable quantized feature magnitude.
 inline constexpr std::int64_t kFeatMax = 8191;
 
 /// Smallest power-of-two step that maps [-2*max_abs, 2*max_abs] onto the
@@ -35,46 +23,5 @@ double choose_feature_step(double max_abs);
 
 /// Quantizes one feature: round(x / step), saturated to +/-kFeatMax.
 std::int16_t quantize_feature(double x, double step);
-
-/// Read-only view of an int16 SoA feature batch (layout contract matches
-/// simd::BatchView: soa[i * stride + e]).
-struct FixedBatchView {
-  const std::int16_t* soa = nullptr;
-  std::size_t stride = 0;
-  std::size_t count = 0;
-  std::size_t dim = 0;
-};
-
-/// One cluster's quantized scoring operands.
-struct ClusterQuant {
-  std::vector<std::int16_t> mu_fx;  // round(mean / step)
-  std::vector<std::int32_t> a_fx;   // round(inv_cov * a_scale); empty =>
-                                    // Euclidean (A = I implicitly)
-  double step = 1.0;                // feature grid (power of two)
-  double a_scale = 1.0;             // matrix grid (power of two)
-  double s1 = 0.0;                  // sum |inv_cov_ij| (for the bound)
-  std::size_t dim = 0;
-
-  /// Worst-case |fixed distance - oracle distance| for any query whose
-  /// per-component deviation from the mean is at most `radius` (in the
-  /// original feature units) and whose features stay inside the
-  /// unsaturated grid.  Derivation in DESIGN.md.
-  double distance_error_bound(double radius) const;
-};
-
-/// Builds one cluster's quantized operands.  `inv_cov` is row-major
-/// dim x dim, or nullptr for Euclidean clusters.  `step` must come from
-/// choose_feature_step so every cluster of a model shares one feature
-/// grid (features are quantized once per batch, not once per cluster).
-ClusterQuant quantize_cluster(const double* mean, const double* inv_cov,
-                              std::size_t dim, double step);
-
-/// out[e] = fixed-point Euclidean distance for e in [begin, end).
-void euclidean_fixed(const FixedBatchView& batch, const ClusterQuant& cq,
-                     double* out, std::size_t begin, std::size_t end);
-
-/// out[e] = fixed-point Mahalanobis distance for e in [begin, end).
-void mahalanobis_fixed(const FixedBatchView& batch, const ClusterQuant& cq,
-                       double* out, std::size_t begin, std::size_t end);
 
 }  // namespace linalg::fixed

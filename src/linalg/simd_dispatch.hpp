@@ -18,7 +18,6 @@ enum class Backend {
   kAuto,    // kAvx2 when the CPU supports it (and scalar is not forced)
   kScalar,  // portable reference kernels — the bit-identity oracle
   kAvx2,    // 4-wide double kernels; falls back to kScalar off-AVX2 CPUs
-  kFixed,   // int16 fixed-point feature path (12-bit ADC mirror)
 };
 
 const char* to_string(Backend backend);
@@ -26,10 +25,9 @@ const char* to_string(Backend backend);
 /// True when the executing CPU supports AVX2.
 bool cpu_has_avx2();
 
-/// True when float-SIMD dispatch is pinned to the scalar kernels: the
+/// True when SIMD dispatch is pinned to the scalar kernels: the
 /// VPROFILE_FORCE_SCALAR environment variable is set to anything but "0",
-/// or a test installed an override.  Does not affect kFixed — fixed point
-/// is an explicitly requested quantized backend, not a dispatch choice.
+/// or a test installed an override.
 bool force_scalar();
 
 /// Test hook: overrides (or, with -1, un-overrides) force_scalar()
@@ -38,8 +36,8 @@ bool force_scalar();
 void set_force_scalar_override(int forced);
 
 /// Resolves a requested backend to the one that will actually run:
-/// kAuto/kAvx2 become kScalar when forced or unsupported, kScalar and
-/// kFixed are returned unchanged.  Never returns kAuto.
+/// kAuto/kAvx2 become kScalar when forced or unsupported, kScalar is
+/// returned unchanged.  Never returns kAuto.
 Backend resolve(Backend requested);
 
 }  // namespace linalg::simd

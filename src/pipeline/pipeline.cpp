@@ -24,7 +24,7 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
 }  // namespace
 
 ScoringCore::ScoringCore(const vprofile::Model& model, PipelineConfig config)
-    : model_(model), config_(std::move(config)), plan_(model, config_.backend) {
+    : model_(model), config_(std::move(config)), plan_(model) {
   if (config_.metrics != nullptr) {
     // Resolve every fixed series up front: the registry mutex is paid
     // here, once, and the hot path only ever touches lock-free handles.

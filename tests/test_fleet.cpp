@@ -20,6 +20,7 @@
 #include "fleet/fleet_service.hpp"
 #include "fleet/wire.hpp"
 #include "io/checksum.hpp"
+#include "io/json.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/supervisor.hpp"
 #include "sim/attack.hpp"
@@ -815,6 +816,30 @@ TEST(FleetService, StatuszJsonCarriesTenantTable) {
   EXPECT_NE(json.find("\"tenants\""), std::string::npos);
   EXPECT_NE(json.find("\"truck-1\""), std::string::npos);
   EXPECT_NE(json.find("\"fingerprint\""), std::string::npos);
+}
+
+TEST(FleetService, StatuszJsonEscapesHostileTenantIds) {
+  // Tenant ids come off the wire: quotes, backslashes and control bytes
+  // must come back out of /statusz as valid JSON holding the same bytes.
+  const World& w = world();
+  ASSERT_TRUE(w.model.has_value());
+  fleet::FleetService service(base_config());
+  const std::string id = std::string("tr\"uck\\1\r\n") + '\x01' + "end";
+  ASSERT_TRUE(service.register_tenant(id, *w.model));
+  service.ingest(id, w.traces[0]);
+  service.finish();
+
+  io::json::Value root;
+  std::string err;
+  ASSERT_TRUE(io::json::parse(service.statusz_json(), &root, &err)) << err;
+  const io::json::Value* tenants = io::json::get(&root, "tenants");
+  ASSERT_NE(tenants, nullptr);
+  ASSERT_TRUE(tenants->is_array());
+  ASSERT_EQ(tenants->array.size(), 1u);
+  const io::json::Value* parsed = io::json::get(&tenants->array[0], "id");
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_TRUE(parsed->is_string());
+  EXPECT_EQ(parsed->string, id);
 }
 
 }  // namespace

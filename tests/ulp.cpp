@@ -1,4 +1,4 @@
-#include "stats/ulp.hpp"
+#include "ulp.hpp"
 
 #include <cmath>
 #include <cstring>
