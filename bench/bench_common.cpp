@@ -62,10 +62,9 @@ units::Seed64 bench_seed(std::string_view bench_name) {
   // several).  Change a value here and the corresponding printed artifact
   // legitimately changes; nothing else may reseed.
   static constexpr std::array<std::pair<std::string_view, std::uint64_t>,
-                              21>
+                              19>
       kSeeds{{
           {"fig2_5_4_2_profiles", 2500},
-          {"fleet", 0xf1ee7},
           {"fig3_1_sampling_effects", 3100},
           {"fig4_4_stddev", 4400},
           {"frontier", 0xf407e2},
@@ -84,7 +83,6 @@ units::Seed64 bench_seed(std::string_view bench_name) {
           {"fusion", 7700},
           {"latency", 777},
           {"online_update", 6400},
-          {"pipeline", 2024},
       }};
   for (const auto& [name, seed] : kSeeds) {
     if (name == bench_name) {

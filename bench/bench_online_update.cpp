@@ -15,7 +15,6 @@
 #include "core/online_update.hpp"
 #include "core/trainer.hpp"
 #include "sim/presets.hpp"
-#include "stats/summary.hpp"
 
 namespace {
 

@@ -1,13 +1,11 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <map>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "linalg/cholesky.hpp"
 #include "obs/metrics.hpp"
@@ -25,8 +23,7 @@ struct ClusterGroup {
   std::vector<const EdgeSet*> members;
 };
 
-/// Per-cluster outcome; built independently so clusters can be processed
-/// on any thread.
+/// Per-cluster outcome.
 struct ClusterBuild {
   std::optional<ClusterModel> cluster;
   std::string error;
@@ -96,11 +93,8 @@ ClusterBuild build_cluster(ClusterGroup& g, const TrainingConfig& config) {
   return build;
 }
 
-/// Builds the per-cluster statistics and assembles the model.  Clusters
-/// are independent, so with config.num_threads > 1 they are processed by
-/// a small worker pool; results land in per-cluster slots and are
-/// aggregated in cluster order, making the outcome (model, first error,
-/// accumulated ridge) identical to the single-threaded path.
+/// Builds the per-cluster statistics and assembles the model.  Every
+/// cluster is fitted (and observed) before the outcome is assembled.
 TrainOutcome finalize(std::vector<ClusterGroup> groups,
                       const TrainingConfig& config) {
   TrainOutcome outcome;
@@ -111,8 +105,6 @@ TrainOutcome finalize(std::vector<ClusterGroup> groups,
 
   const std::size_t n = groups.size();
   std::vector<ClusterBuild> builds(n);
-  // Observability handles are resolved once, before the pool starts, so
-  // the workers only ever touch lock-free instruments.
   obs::Histogram* fit_hist =
       config.metrics != nullptr
           ? config.metrics->histogram("train_cluster_fit_ns")
@@ -121,10 +113,10 @@ TrainOutcome finalize(std::vector<ClusterGroup> groups,
       config.metrics != nullptr
           ? config.metrics->counter("train_clusters_total")
           : nullptr;
-  auto fit_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (fit_hist == nullptr && config.tracer == nullptr) {
       builds[i] = build_cluster(groups[i], config);
-      return;
+      continue;
     }
     const std::uint64_t trace_start =
         config.tracer != nullptr ? config.tracer->now_ns() : 0;
@@ -141,30 +133,10 @@ TrainOutcome finalize(std::vector<ClusterGroup> groups,
     if (config.tracer != nullptr) {
       config.tracer->record("train.cluster_fit", trace_start, ns);
     }
-  };
-  const std::size_t num_threads =
-      std::min(std::max<std::size_t>(config.num_threads, 1), n);
-  if (num_threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      fit_one(i);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto work = [&] {
-      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        fit_one(i);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(num_threads - 1);
-    for (std::size_t t = 0; t + 1 < num_threads; ++t) pool.emplace_back(work);
-    work();
-    for (std::thread& t : pool) t.join();
   }
 
   // Aggregate in cluster order: the first failing cluster's error is
-  // reported, with the ridge accumulated over the clusters before it —
-  // exactly what a sequential pass over `groups` produces.
+  // reported, with the ridge accumulated over the clusters before it.
   std::vector<ClusterModel> clusters;
   clusters.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -44,11 +44,6 @@ struct TrainingConfig {
   double merge_threshold = 0.0;
   /// Minimum edge sets a cluster needs for a usable covariance.
   std::size_t min_cluster_size = 8;
-  /// Threads building per-cluster statistics (covariance accumulation,
-  /// Cholesky, inverse, max training distance).  Clusters are independent,
-  /// so the trained model is identical for any thread count; 0 or 1 keeps
-  /// the single-threaded path.
-  std::size_t num_threads = 1;
   /// Optional observability sinks (per-cluster fit latency / spans); null
   /// = zero overhead, and the trained model is bit-identical either way.
   obs::MetricsRegistry* metrics = nullptr;

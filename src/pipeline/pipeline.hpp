@@ -13,7 +13,9 @@
 // Workers drain the queue in batches (PipelineConfig::batch_size) and run
 // ScoringCore on each: frames are extracted (and fault-contained) one by
 // one, survivors scored together through a BatchScorer over one shared
-// ScoringPlan.  The lockstep Supervisor runs the same step inline.
+// ScoringPlan.  The lockstep Supervisor and sim::ScenarioRunner run the
+// same step inline on the caller's thread; the worker pool itself is
+// driven only by the end-to-end benchmark (bench/e2e) and its own tests.
 //
 // Guarantees:
 //  * Every submitted frame produces exactly one FrameResult at the sink,
@@ -257,7 +259,7 @@ class DetectionPipeline {
 };
 
 /// Reference single-threaded scoring of a whole batch — the equivalence
-/// oracle for the pipeline (and the "sequential" arm of bench_pipeline).
+/// oracle for the pipeline.
 /// Produces exactly the FrameResult stream a 1..N-worker pipeline emits.
 std::vector<FrameResult> score_sequential(const vprofile::Model& model,
                                           const std::vector<dsp::Trace>& traces,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "core/extractor.hpp"
 
 namespace sim {
 namespace {
@@ -168,6 +171,21 @@ vprofile::ExtractionConfig default_extraction(const VehicleConfig& config) {
   return vprofile::make_extraction_config(config.adc.sample_rate(),
                                           config.bitrate,
                                           default_bit_threshold(config));
+}
+
+vprofile::TrainOutcome train_on_clean_traffic(Vehicle& vehicle,
+                                              std::size_t count,
+                                              const analog::Environment& env,
+                                              vprofile::TrainingConfig config) {
+  config.extraction = default_extraction(vehicle.config());
+  std::vector<vprofile::EdgeSet> edge_sets;
+  edge_sets.reserve(count);
+  for (const Capture& cap : vehicle.capture(count, env)) {
+    if (auto es = vprofile::extract_edge_set(cap.codes, config.extraction)) {
+      edge_sets.push_back(std::move(*es));
+    }
+  }
+  return vprofile::train_with_database(edge_sets, vehicle.database(), config);
 }
 
 }  // namespace sim

@@ -35,4 +35,16 @@ double default_bit_threshold(const VehicleConfig& config);
 /// Extraction config matched to the vehicle's digitizer and bitrate.
 vprofile::ExtractionConfig default_extraction(const VehicleConfig& config);
 
+/// The one training recipe every tool shares: capture `count` clean
+/// messages from `vehicle` under `env`, extract their edge sets with
+/// default_extraction(), and train with the vehicle's SA database.
+/// `config.extraction` is overwritten; the other fields (metric,
+/// observability sinks) are the caller's.  The capture advances the
+/// vehicle's random stream, so a given (vehicle seed, count) always
+/// yields the same model.
+vprofile::TrainOutcome train_on_clean_traffic(Vehicle& vehicle,
+                                              std::size_t count,
+                                              const analog::Environment& env,
+                                              vprofile::TrainingConfig config);
+
 }  // namespace sim

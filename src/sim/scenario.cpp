@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/extractor.hpp"
 #include "core/fnv1a.hpp"
 #include "core/trainer.hpp"
 #include "obs/metrics.hpp"
@@ -98,25 +97,14 @@ const ScenarioRunner::CachedModel& ScenarioRunner::model_for(
   if (it != model_cache_.end()) return it->second;
 
   CachedModel cached;
-  const VehicleConfig config = scenario_vehicle(scenario);
-  Vehicle vehicle(config, derive_stream_seed(seed_, "train/" + key));
-  const vprofile::ExtractionConfig extraction = default_extraction(config);
-
-  std::vector<vprofile::EdgeSet> edge_sets;
-  edge_sets.reserve(scenario.train_count);
-  for (const Capture& cap :
-       vehicle.capture(scenario.train_count, scenario.env)) {
-    if (auto es = vprofile::extract_edge_set(cap.codes, extraction)) {
-      edge_sets.push_back(std::move(*es));
-    }
-  }
+  Vehicle vehicle(scenario_vehicle(scenario),
+                  derive_stream_seed(seed_, "train/" + key));
   vprofile::TrainingConfig tc;
   tc.metric = scenario.metric;
-  tc.extraction = extraction;
   tc.metrics = metrics_;
   tc.tracer = tracer_;
-  vprofile::TrainOutcome outcome =
-      vprofile::train_with_database(edge_sets, vehicle.database(), tc);
+  vprofile::TrainOutcome outcome = train_on_clean_traffic(
+      vehicle, scenario.train_count, scenario.env, std::move(tc));
   if (outcome.ok()) {
     cached.model =
         std::make_shared<const vprofile::Model>(std::move(*outcome.model));
@@ -189,13 +177,11 @@ ScenarioResult ScenarioRunner::run(const Scenario& scenario) {
     }
   }
 
-  // Score through the real streaming pipeline (one worker keeps results
-  // in capture order and bit-identical to sequential scoring) so the
-  // scenario grid regression-covers pipeline code, not just detect().
+  // Score on this thread through the pipeline's ScoringCore, one
+  // batch_size chunk at a time, so the scenario grid regression-covers
+  // the serving step (batched extraction + scoring + accounting), not
+  // just detect().  Verdicts do not depend on the chunking.
   pipeline::PipelineConfig pc;
-  pc.num_workers = 1;
-  pc.queue_capacity = 256;
-  pc.block_when_full = true;
   pc.metrics = metrics_;
   pc.tracer = tracer_;
   if (scenario.quality_gating) {
@@ -203,31 +189,30 @@ ScenarioResult ScenarioRunner::run(const Scenario& scenario) {
   } else {
     pc.detection.margin = scenario.margin;
   }
-
-  std::vector<pipeline::FrameResult> frames;
-  frames.reserve(stream.size());
-  {
-    pipeline::DetectionPipeline pipe(
-        model, pc,
-        [&](pipeline::FrameResult&& r) { frames.push_back(std::move(r)); });
-    for (const LabeledCapture& lc : stream) pipe.submit(lc.capture.codes);
-    pipe.finish();
-    result.metrics.pipeline_counters = pipe.counters();
-  }
-
-  for (const pipeline::FrameResult& r : frames) {
+  pipeline::ScoringCore core(model, pc);
+  pipeline::ScoringCore::Scratch scratch(core);
+  ScenarioMetrics& m = result.metrics;
+  const pipeline::ScoringCore::Emit tally = [&](pipeline::FrameResult&& r) {
     if (!r.ok()) {
-      ++result.metrics.extraction_failures;
-      continue;
+      ++m.extraction_failures;
+    } else if (r.detection->is_degraded()) {
+      ++m.degraded;
+    } else {
+      m.confusion.add(stream[r.seq].is_attack, r.detection->is_anomaly());
     }
-    if (r.detection->is_degraded()) {
-      ++result.metrics.degraded;
-      continue;
+  };
+  std::vector<pipeline::Job> jobs;
+  jobs.reserve(pc.batch_size);
+  for (std::size_t i = 0; i < stream.size();) {
+    jobs.clear();
+    for (; i < stream.size() && jobs.size() < pc.batch_size; ++i) {
+      core.note_submitted(0);
+      jobs.push_back(pipeline::Job{i, std::move(stream[i].capture.codes), 0});
     }
-    result.metrics.confusion.add(stream[r.seq].is_attack,
-                                 r.detection->is_anomaly());
+    core.score_jobs(scratch, jobs, tally);
   }
-  result.metrics.fault_stats = injector.stats();
+  m.pipeline_counters = core.counters(0);
+  m.fault_stats = injector.stats();
   return result;
 }
 

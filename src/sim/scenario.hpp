@@ -1,5 +1,5 @@
 // Composable attack × fault × environment scenarios over the simulated
-// vehicles, scored end-to-end through the streaming detection pipeline.
+// vehicles, scored end-to-end through the pipeline's ScoringCore.
 //
 // A Scenario names one cell of the evaluation grid the ROADMAP asks for:
 // which vehicle preset transmits, which attack (if any) is injected into
@@ -81,11 +81,12 @@ struct ScenarioMetrics {
   std::size_t degraded = 0;
   /// Per-fault injection counts from the fault layer.
   faults::FaultStats fault_stats;
-  /// Pipeline telemetry (per-verdict and per-extract-error counters).
+  /// Scoring telemetry (per-verdict and per-extract-error counters).
   pipeline::CountersSnapshot pipeline_counters;
 
-  /// Order-independent digest of every count above (not the timings);
-  /// equal fingerprints <=> identical detection outcomes.
+  /// Order-independent digest of every count above (not the timings and
+  /// not the queue high-water mark); equal fingerprints <=> identical
+  /// detection outcomes.
   std::uint64_t fingerprint() const;
 };
 

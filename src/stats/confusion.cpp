@@ -2,7 +2,6 @@
 
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
 
 namespace stats {
 
@@ -12,13 +11,6 @@ void BinaryConfusion::add(bool actual_anomaly, bool predicted_anomaly) {
   } else {
     predicted_anomaly ? ++fp_ : ++tn_;
   }
-}
-
-void BinaryConfusion::merge(const BinaryConfusion& other) {
-  tp_ += other.tp_;
-  tn_ += other.tn_;
-  fp_ += other.fp_;
-  fn_ += other.fn_;
 }
 
 double BinaryConfusion::accuracy() const {
@@ -60,87 +52,6 @@ std::string BinaryConfusion::to_table(const std::string& title) const {
   os << std::fixed << std::setprecision(5);
   os << "  accuracy=" << accuracy() << "  precision=" << precision()
      << "  recall=" << recall() << "  F-score=" << f_score() << '\n';
-  return os.str();
-}
-
-MultiClassConfusion::MultiClassConfusion(std::size_t num_classes)
-    : n_(num_classes), cells_(num_classes * num_classes, 0) {
-  if (num_classes == 0) {
-    throw std::invalid_argument("MultiClassConfusion: need >= 1 class");
-  }
-}
-
-void MultiClassConfusion::add(std::size_t actual, std::size_t predicted) {
-  if (actual >= n_ || predicted >= n_) {
-    throw std::out_of_range("MultiClassConfusion::add: class out of range");
-  }
-  ++cells_[actual * n_ + predicted];
-  ++total_;
-}
-
-std::uint64_t MultiClassConfusion::count(std::size_t actual,
-                                         std::size_t predicted) const {
-  if (actual >= n_ || predicted >= n_) {
-    throw std::out_of_range("MultiClassConfusion::count: class out of range");
-  }
-  return cells_[actual * n_ + predicted];
-}
-
-double MultiClassConfusion::accuracy() const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t diag = 0;
-  for (std::size_t i = 0; i < n_; ++i) diag += cells_[i * n_ + i];
-  return static_cast<double>(diag) / static_cast<double>(total_);
-}
-
-double MultiClassConfusion::precision(std::size_t cls) const {
-  std::uint64_t tp = count(cls, cls);
-  std::uint64_t predicted = 0;
-  for (std::size_t a = 0; a < n_; ++a) predicted += cells_[a * n_ + cls];
-  if (predicted == 0) return 0.0;
-  return static_cast<double>(tp) / static_cast<double>(predicted);
-}
-
-double MultiClassConfusion::recall(std::size_t cls) const {
-  std::uint64_t tp = count(cls, cls);
-  std::uint64_t actual = 0;
-  for (std::size_t p = 0; p < n_; ++p) actual += cells_[cls * n_ + p];
-  if (actual == 0) return 0.0;
-  return static_cast<double>(tp) / static_cast<double>(actual);
-}
-
-double MultiClassConfusion::f_score(std::size_t cls) const {
-  const double p = precision(cls);
-  const double r = recall(cls);
-  // Exact-zero guard against division by zero, not a tolerance test.
-  // vprofile-lint: allow(float-eq)
-  if (p + r == 0.0) return 0.0;
-  return 2.0 * p * r / (p + r);
-}
-
-double MultiClassConfusion::macro_f_score() const {
-  double sum = 0.0;
-  for (std::size_t c = 0; c < n_; ++c) sum += f_score(c);
-  return sum / static_cast<double>(n_);
-}
-
-std::string MultiClassConfusion::to_table(
-    const std::string& title, const std::vector<std::string>& labels) const {
-  if (labels.size() != n_) {
-    throw std::invalid_argument("MultiClassConfusion::to_table: label count");
-  }
-  std::ostringstream os;
-  os << title << '\n';
-  os << std::setw(12) << "actual\\pred";
-  for (const auto& l : labels) os << std::setw(10) << l;
-  os << '\n';
-  for (std::size_t a = 0; a < n_; ++a) {
-    os << std::setw(12) << labels[a];
-    for (std::size_t p = 0; p < n_; ++p) os << std::setw(10) << count(a, p);
-    os << '\n';
-  }
-  os << std::fixed << std::setprecision(5) << "  accuracy=" << accuracy()
-     << "  macro-F=" << macro_f_score() << '\n';
   return os.str();
 }
 

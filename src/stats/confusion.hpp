@@ -1,10 +1,9 @@
-// Binary (anomaly/normal) and multi-class confusion matrices with the
-// metrics the paper reports: accuracy, precision, recall and F-score.
+// Binary (anomaly/normal) confusion matrix with the metrics the paper
+// reports: accuracy, precision, recall and F-score.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace stats {
 
@@ -16,8 +15,6 @@ namespace stats {
 class BinaryConfusion {
  public:
   void add(bool actual_anomaly, bool predicted_anomaly);
-  /// Merges counts from another matrix (used to combine per-shard results).
-  void merge(const BinaryConfusion& other);
 
   std::uint64_t true_positives() const { return tp_; }
   std::uint64_t true_negatives() const { return tn_; }
@@ -43,35 +40,6 @@ class BinaryConfusion {
   std::uint64_t tn_ = 0;
   std::uint64_t fp_ = 0;
   std::uint64_t fn_ = 0;
-};
-
-/// Square multi-class confusion matrix (used for sender identification:
-/// which ECU was predicted vs which actually transmitted).
-class MultiClassConfusion {
- public:
-  explicit MultiClassConfusion(std::size_t num_classes);
-
-  void add(std::size_t actual, std::size_t predicted);
-
-  std::size_t num_classes() const { return n_; }
-  std::uint64_t count(std::size_t actual, std::size_t predicted) const;
-  std::uint64_t total() const { return total_; }
-
-  double accuracy() const;
-  /// One-vs-rest precision / recall / F-score for a single class.
-  double precision(std::size_t cls) const;
-  double recall(std::size_t cls) const;
-  double f_score(std::size_t cls) const;
-  /// Unweighted mean of per-class F-scores.
-  double macro_f_score() const;
-
-  std::string to_table(const std::string& title,
-                       const std::vector<std::string>& labels) const;
-
- private:
-  std::size_t n_;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> cells_;  // row-major [actual][predicted]
 };
 
 }  // namespace stats

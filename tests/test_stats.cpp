@@ -8,13 +8,11 @@
 #include "stats/confusion.hpp"
 #include "stats/interval.hpp"
 #include "stats/rng.hpp"
-#include "stats/summary.hpp"
 #include "stats/welford.hpp"
 
 namespace {
 
 using stats::BinaryConfusion;
-using stats::MultiClassConfusion;
 using stats::Rng;
 using stats::Welford;
 
@@ -130,59 +128,12 @@ TEST(BinaryConfusion, NoAnomaliesYieldsPerfectRecall) {
   EXPECT_DOUBLE_EQ(cm.accuracy(), 1.0);
 }
 
-TEST(BinaryConfusion, MergeAddsCounts) {
-  BinaryConfusion a;
-  a.add(true, true);
-  BinaryConfusion b;
-  b.add(false, true);
-  a.merge(b);
-  EXPECT_EQ(a.true_positives(), 1u);
-  EXPECT_EQ(a.false_positives(), 1u);
-  EXPECT_EQ(a.total(), 2u);
-}
-
 TEST(BinaryConfusion, TableRendersCounts) {
   BinaryConfusion cm;
   cm.add(true, true);
   const std::string table = cm.to_table("T");
   EXPECT_NE(table.find('T'), std::string::npos);
   EXPECT_NE(table.find("Anomaly"), std::string::npos);
-}
-
-TEST(MultiClassConfusion, AccuracyIsDiagonalFraction) {
-  MultiClassConfusion cm(3);
-  cm.add(0, 0);
-  cm.add(1, 1);
-  cm.add(2, 0);
-  cm.add(2, 2);
-  EXPECT_NEAR(cm.accuracy(), 3.0 / 4.0, 1e-12);
-  EXPECT_EQ(cm.count(2, 0), 1u);
-}
-
-TEST(MultiClassConfusion, PerClassMetrics) {
-  MultiClassConfusion cm(2);
-  for (int i = 0; i < 3; ++i) cm.add(0, 0);
-  cm.add(0, 1);
-  for (int i = 0; i < 2; ++i) cm.add(1, 1);
-  for (int i = 0; i < 2; ++i) cm.add(1, 0);
-  EXPECT_NEAR(cm.recall(0), 3.0 / 4.0, 1e-12);
-  EXPECT_NEAR(cm.precision(0), 3.0 / 5.0, 1e-12);
-  EXPECT_NEAR(cm.recall(1), 2.0 / 4.0, 1e-12);
-  EXPECT_NEAR(cm.precision(1), 2.0 / 3.0, 1e-12);
-}
-
-TEST(MultiClassConfusion, MacroFAveragesClasses) {
-  MultiClassConfusion cm(2);
-  cm.add(0, 0);
-  cm.add(1, 1);
-  EXPECT_NEAR(cm.macro_f_score(), 1.0, 1e-12);
-}
-
-TEST(MultiClassConfusion, RejectsOutOfRange) {
-  MultiClassConfusion cm(2);
-  EXPECT_THROW(cm.add(2, 0), std::out_of_range);
-  EXPECT_THROW(cm.add(0, 5), std::out_of_range);
-  EXPECT_THROW(MultiClassConfusion(0), std::invalid_argument);
 }
 
 TEST(Interval, StandardQuantiles) {
@@ -221,38 +172,6 @@ TEST(Interval, WiderConfidenceGivesWiderInterval) {
 TEST(Interval, EmptySampleThrows) {
   EXPECT_THROW(stats::mean_confidence_interval({}, 0.99),
                std::invalid_argument);
-}
-
-TEST(Summary, BasicFields) {
-  const auto s = stats::summarize({2.0, 4.0, 6.0});
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 4.0);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 6.0);
-  EXPECT_NEAR(s.sample_stddev, 2.0, 1e-12);
-}
-
-TEST(Summary, EmptyInputGivesZeroSummary) {
-  const auto s = stats::summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Summary, PercentileInterpolates) {
-  EXPECT_DOUBLE_EQ(stats::percentile({1.0, 2.0, 3.0, 4.0}, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(stats::percentile({5.0, 1.0, 3.0}, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(stats::percentile({5.0, 1.0, 3.0}, 1.0), 5.0);
-}
-
-TEST(Summary, PercentileValidatesInput) {
-  EXPECT_THROW(stats::percentile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(stats::percentile({1.0}, 1.5), std::invalid_argument);
-}
-
-TEST(Summary, PercentDelta) {
-  EXPECT_DOUBLE_EQ(stats::percent_delta(10.0, 15.0), 50.0);
-  EXPECT_DOUBLE_EQ(stats::percent_delta(10.0, 5.0), -50.0);
-  EXPECT_THROW(stats::percent_delta(0.0, 1.0), std::invalid_argument);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

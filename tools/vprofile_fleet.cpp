@@ -46,7 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/extractor.hpp"
 #include "core/trainer.hpp"
 #include "core/units.hpp"
 #include "fleet/fleet_service.hpp"
@@ -96,32 +95,6 @@ bool send_all(int fd, const char* data, std::size_t len) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-/// Trains one tenant's profile on clean traffic from its own vehicle.
-std::optional<vprofile::Model> train_tenant_model(
-    const sim::VehicleConfig& config, units::Seed64 seed,
-    std::size_t train_count, std::string* error) {
-  sim::Vehicle vehicle(config, seed);
-  const analog::Environment env = analog::Environment::reference();
-  const vprofile::ExtractionConfig extraction =
-      sim::default_extraction(config);
-  std::vector<vprofile::EdgeSet> edge_sets;
-  edge_sets.reserve(train_count);
-  for (const sim::Capture& cap : vehicle.capture(train_count, env)) {
-    if (auto es = vprofile::extract_edge_set(cap.codes, extraction)) {
-      edge_sets.push_back(std::move(*es));
-    }
-  }
-  vprofile::TrainingConfig tc;
-  tc.extraction = extraction;
-  const vprofile::TrainOutcome trained =
-      vprofile::train_with_database(edge_sets, vehicle.database(), tc);
-  if (!trained.ok()) {
-    if (error != nullptr) *error = trained.error;
-    return std::nullopt;
-  }
-  return trained.model;
 }
 
 int run_client(std::uint16_t port, const std::string& tenant,
@@ -323,7 +296,6 @@ int main(int argc, char** argv) {
   fc.tenant.governor_window = governor_window;
   fc.tenant.governor_quota = governor_quota;
   fc.tenant.supervisor.lockstep = true;
-  fc.tenant.supervisor.pipeline.num_workers = 1;
   fc.tenant.supervisor.pipeline.queue_capacity = 64;
   fc.tenant.supervisor.pipeline.detection =
       sim::scenario_detection_config(config, 0.0);
@@ -333,16 +305,18 @@ int main(int argc, char** argv) {
   std::printf("training %zu tenant profiles (%zu clean messages each)...\n",
               tenant_ids.size(), train_count);
   for (const std::string& id : tenant_ids) {
-    std::string err;
-    auto model = train_tenant_model(
-        config, sim::derive_stream_seed(units::Seed64{seed}, id), train_count,
-        &err);
-    if (!model) {
+    // Each tenant trains on clean traffic from its own vehicle.
+    sim::Vehicle vehicle(config,
+                         sim::derive_stream_seed(units::Seed64{seed}, id));
+    vprofile::TrainOutcome trained = sim::train_on_clean_traffic(
+        vehicle, train_count, analog::Environment::reference(), {});
+    if (!trained.ok()) {
       std::fprintf(stderr, "tenant %s: training failed: %s\n", id.c_str(),
-                   err.c_str());
+                   trained.error.c_str());
       return 1;
     }
-    if (!service.register_tenant(id, std::move(*model), &err)) {
+    std::string err;
+    if (!service.register_tenant(id, std::move(*trained.model), &err)) {
       std::fprintf(stderr, "tenant %s: %s\n", id.c_str(), err.c_str());
       return 1;
     }

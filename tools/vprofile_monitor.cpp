@@ -1,34 +1,34 @@
 // vprofile_monitor — online intrusion monitor: streams live traffic from a
-// simulated vehicle through the parallel capture -> extract -> detect
-// pipeline and reports verdicts in capture order plus pipeline telemetry.
+// simulated vehicle through a lockstep runtime::Supervisor, which runs
+// extract -> detect on this thread for every frame, and reports verdicts
+// in capture order plus scoring telemetry.
 //
 // Usage:
 //   vprofile_monitor --vehicle a|b [--seed S] [--train N] [--count M]
-//                    [--workers W] [--queue CAP] [--margin M]
-//                    [--hijack P] [--fault PROFILE] [--no-gate]
-//                    [--no-block] [--verbose] [--stats-every N]
+//                    [--margin M] [--hijack P] [--fault PROFILE]
+//                    [--no-gate] [--verbose] [--stats-every N]
 //                    [--metrics-out FILE] [--jsonl-out FILE]
 //                    [--trace-out FILE]
 //
 // --margin defaults to 0.0, matching DetectionConfig{} (the trained
 // per-cluster maximum distance alone); --fault replays the stream through
-// a named analog fault profile (see faults::canned_profiles());
-// --no-block switches submit() from backpressure to drop-and-count, the
-// mode a real bus tap needs.  --stats-every N prints a telemetry line
-// every N scored frames; --metrics-out / --jsonl-out dump the metrics
-// registry (Prometheus exposition / JSONL) and --trace-out writes a
-// Chrome trace_event JSON — all stamped with the RunManifest.
+// a named analog fault profile (see faults::canned_profiles()).
+// --stats-every N prints a telemetry line every N scored frames;
+// --metrics-out / --jsonl-out dump the metrics registry (Prometheus
+// exposition / JSONL) and --trace-out writes a Chrome trace_event JSON —
+// all stamped with the RunManifest.
 //
-// --service wraps the pipeline in the runtime::Supervisor: stall watchdog
-// with restart + backoff, Page–Hinkley drift sentinel with guarded online
-// retraining, periodic crash-safe model checkpoints (--checkpoint-dir /
-// --checkpoint-every) and the overload governor.  SIGINT/SIGTERM stop
-// intake cleanly in every mode: the pipeline drains, the final checkpoint
-// commits, and the telemetry artifacts are still written.
+// Every frame offered is scored: one saturated bus needs about 1% of a
+// core, so there is no queue to shed from, and the verdicts are a pure
+// function of (vehicle, seed, options).  The supervisor adds the stall
+// watchdog, the Page–Hinkley drift sentinel with guarded online
+// retraining and periodic crash-safe model checkpoints (--checkpoint-dir
+// / --checkpoint-every).  SIGINT/SIGTERM stop intake cleanly: the final
+// checkpoint commits and the telemetry artifacts are still written.
 //
-// Service-mode introspection: the supervisor always carries a flight
-// recorder (evidence ring + freeze-on-trigger incident bundles; bundles
-// land in --incident-dir as INCIDENT_<id>.json).  --status-port N serves
+// Introspection: the supervisor always carries a flight recorder
+// (evidence ring + freeze-on-trigger incident bundles; bundles land in
+// --incident-dir as INCIDENT_<id>.json).  --status-port N serves
 // a live HTTP endpoint on 127.0.0.1 with /metrics (Prometheus), /healthz,
 // /statusz (supervisor state + recent incidents) and /incident/<id>
 // (bundle JSON; GET /incident/trigger arms an operator incident).  Port 0
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "core/detector.hpp"
-#include "core/extractor.hpp"
 #include "core/trainer.hpp"
 #include "faults/fault.hpp"
 #include "obs/export.hpp"
@@ -54,7 +53,6 @@
 #include "obs/metrics.hpp"
 #include "obs/status_server.hpp"
 #include "obs/trace_span.hpp"
-#include "pipeline/pipeline.hpp"
 #include "runtime/supervisor.hpp"
 #include "sim/attack.hpp"
 #include "sim/presets.hpp"
@@ -86,12 +84,11 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: vprofile_monitor --vehicle a|b [--seed S] [--train N]\n"
-      "                        [--count M] [--workers W] [--queue CAP]\n"
-      "                        [--margin M] [--hijack P] [--fault PROFILE]\n"
-      "                        [--no-gate] [--no-block] [--verbose]\n"
+      "                        [--count M] [--margin M] [--hijack P]\n"
+      "                        [--fault PROFILE] [--no-gate] [--verbose]\n"
       "                        [--stats-every N] [--metrics-out FILE]\n"
       "                        [--jsonl-out FILE] [--trace-out FILE]\n"
-      "                        [--service] [--checkpoint-dir DIR]\n"
+      "                        [--checkpoint-dir DIR]\n"
       "                        [--checkpoint-every N] [--status-port N]\n"
       "                        [--incident-dir DIR] [--pace-us N]\n"
       "                        [--trigger-at N]\n"
@@ -103,22 +100,18 @@ void usage() {
   std::fprintf(
       stderr,
       "  --no-gate disables input-quality gating (no degraded verdicts)\n"
-      "  --no-block drops frames when the queue is full instead of\n"
-      "  stalling the capture (live-tap mode)\n"
-      "  --stats-every N prints pipeline telemetry every N scored frames\n"
+      "  --stats-every N prints scoring telemetry every N scored frames\n"
       "  --metrics-out writes Prometheus text exposition at exit\n"
       "  --jsonl-out writes the metrics as a JSONL event stream\n"
       "  --trace-out writes Chrome trace_event JSON (chrome://tracing)\n"
-      "  --service runs under the runtime supervisor (watchdog, drift\n"
-      "  sentinel with guarded online retraining, overload governor)\n"
       "  --checkpoint-dir enables crash-safe model checkpoints there\n"
       "  --checkpoint-every N commits a checkpoint every N scored frames\n"
       "  --status-port N serves /metrics /healthz /statusz /incident/<id>\n"
-      "  on 127.0.0.1 (0 = ephemeral; requires --service)\n"
-      "  --incident-dir writes flight-recorder bundles there (--service)\n"
+      "  on 127.0.0.1 (0 = ephemeral)\n"
+      "  --incident-dir writes flight-recorder bundles there\n"
       "  --pace-us sleeps N microseconds per frame (live-scrape pacing)\n"
       "  --trigger-at N arms an operator incident after N submitted frames\n"
-      "  SIGINT/SIGTERM drain the pipeline and still write all artifacts\n");
+      "  SIGINT/SIGTERM stop intake and still write all artifacts\n");
 }
 
 }  // namespace
@@ -128,19 +121,15 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::size_t train_count = 4000;
   std::size_t stream_count = 10000;
-  std::size_t workers = 4;
-  std::size_t queue_capacity = 256;
   double margin = vprofile::DetectionConfig{}.margin;
   double hijack_prob = 0.1;
   faults::FaultProfile fault_profile = faults::clean_profile();
   bool quality_gate = true;
-  bool block_when_full = true;
   bool verbose = false;
   std::size_t stats_every = 0;
   std::string metrics_out;
   std::string jsonl_out;
   std::string trace_out;
-  bool service = false;
   std::string checkpoint_dir;
   std::uint64_t checkpoint_every = 0;
   int status_port = -1;  // -1 = no status server
@@ -166,11 +155,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--count") {
       stream_count =
           static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--workers") {
-      workers = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--queue") {
-      queue_capacity =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--margin") {
       margin = std::atof(next());
     } else if (arg == "--hijack") {
@@ -186,8 +170,6 @@ int main(int argc, char** argv) {
       fault_profile = *profile;
     } else if (arg == "--no-gate") {
       quality_gate = false;
-    } else if (arg == "--no-block") {
-      block_when_full = false;
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--stats-every") {
@@ -199,8 +181,6 @@ int main(int argc, char** argv) {
       jsonl_out = next();
     } else if (arg == "--trace-out") {
       trace_out = next();
-    } else if (arg == "--service") {
-      service = true;
     } else if (arg == "--checkpoint-dir") {
       checkpoint_dir = next();
     } else if (arg == "--checkpoint-every") {
@@ -218,23 +198,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if ((vehicle_name != "a" && vehicle_name != "b") || workers == 0 ||
-      queue_capacity == 0 || train_count == 0 ||
+  if ((vehicle_name != "a" && vehicle_name != "b") || train_count == 0 ||
       (status_port >= 0 && status_port > 65535)) {
     usage();
     return 2;
   }
-  if (!service && (status_port >= 0 || !incident_dir.empty() ||
-                   trigger_at != 0)) {
-    std::fprintf(stderr,
-                 "--status-port / --incident-dir / --trigger-at require "
-                 "--service\n");
-    return 2;
-  }
 
   // A stop signal anywhere past this point ends intake cleanly: the
-  // stream loop breaks, the pipeline drains, and the report + telemetry
-  // artifacts are written as usual.
+  // stream loop breaks, and the report + telemetry artifacts are written
+  // as usual.
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
@@ -257,37 +229,22 @@ int main(int argc, char** argv) {
       {"vehicle", vehicle_name},
       {"train", std::to_string(train_count)},
       {"count", std::to_string(stream_count)},
-      {"workers", std::to_string(workers)},
-      {"queue", std::to_string(queue_capacity)},
       {"fault", fault_profile.name},
-      {"mode", block_when_full ? "backpressure" : "drop"},
       {"gate", quality_gate ? "on" : "off"},
-      {"service", service ? "on" : "off"},
   };
 
   const sim::VehicleConfig config =
       (vehicle_name == "a") ? sim::vehicle_a() : sim::vehicle_b();
   sim::Vehicle vehicle(config, seed);
   const analog::Environment env = analog::Environment::reference();
-  const vprofile::ExtractionConfig extraction = sim::default_extraction(config);
 
-  // Train on clean traffic; cluster statistics build on `workers` threads.
   std::printf("training on %zu clean messages from %s...\n", train_count,
               config.name.c_str());
-  std::vector<vprofile::EdgeSet> edge_sets;
-  edge_sets.reserve(train_count);
-  for (const sim::Capture& cap : vehicle.capture(train_count, env)) {
-    if (auto es = vprofile::extract_edge_set(cap.codes, extraction)) {
-      edge_sets.push_back(std::move(*es));
-    }
-  }
   vprofile::TrainingConfig tc;
-  tc.extraction = extraction;
-  tc.num_threads = workers;
   tc.metrics = metrics;
   tc.tracer = trace;
   const vprofile::TrainOutcome trained =
-      vprofile::train_with_database(edge_sets, vehicle.database(), tc);
+      sim::train_on_clean_traffic(vehicle, train_count, env, tc);
   if (!trained.ok()) {
     std::fprintf(stderr, "training failed: %s\n", trained.error.c_str());
     return 1;
@@ -302,17 +259,23 @@ int main(int argc, char** argv) {
                        : sim::make_hijack_stream(vehicle, stream_count,
                                                  hijack_prob, env);
 
-  pipeline::PipelineConfig pc;
-  pc.num_workers = workers;
-  pc.queue_capacity = queue_capacity;
-  pc.block_when_full = block_when_full;
-  pc.metrics = metrics;
-  pc.tracer = trace;
+  runtime::SupervisorConfig sc;
+  sc.pipeline.metrics = metrics;
+  sc.pipeline.tracer = trace;
   if (quality_gate) {
-    pc.detection = sim::scenario_detection_config(config, margin);
+    sc.pipeline.detection = sim::scenario_detection_config(config, margin);
   } else {
-    pc.detection.margin = margin;
+    sc.pipeline.detection.margin = margin;
   }
+  sc.lockstep = true;
+  sc.checkpoint_dir = checkpoint_dir;
+  sc.checkpoint_every = checkpoint_every;
+  sc.flight_recorder = true;
+  sc.recorder.bus = "vehicle_" + vehicle_name;
+  sc.recorder.incident_dir = incident_dir;
+  sc.recorder.manifest = manifest;
+  sc.recorder.metrics = metrics;
+  sc.recorder.tracer = trace;
 
   stats::BinaryConfusion confusion;
   std::size_t extraction_failures = 0;
@@ -320,10 +283,9 @@ int main(int argc, char** argv) {
   std::size_t sink_seen = 0;
   const vprofile::Model& model = *trained.model;
 
-  // Verdict accounting shared by both modes.  The sinks run in capture
-  // order; `actual` is the submitted frame's attack label.
+  // Verdict accounting, in capture order; `actual` is the frame's attack
+  // label.
   auto classify = [&](const pipeline::FrameResult& r, bool actual) {
-    if (r.dropped) return;  // counted by the pipeline
     if (!r.ok()) {
       ++extraction_failures;
       return;
@@ -354,236 +316,168 @@ int main(int argc, char** argv) {
       std::printf("%s\n", actual ? "" : "  [FALSE ALARM]");
     }
   };
-  auto print_stats_line = [&](const pipeline::CountersSnapshot& s) {
-    std::printf(
-        "[stats] frames=%llu dropped=%llu anomalies=%llu "
-        "degraded=%llu extract_fail=%llu mean_extract=%.1fus "
-        "mean_detect=%.1fus queue_hwm=%zu\n",
-        static_cast<unsigned long long>(s.completed.value()),
-        static_cast<unsigned long long>(s.dropped.value()),
-        static_cast<unsigned long long>(s.anomalies()),
-        static_cast<unsigned long long>(s.degraded()),
-        static_cast<unsigned long long>(s.extract_failures()),
-        s.mean_extract_us(), s.mean_detect_us(), s.queue_high_watermark);
-  };
+  // Nothing is shed, so a result's global index is its stream position.
+  runtime::Supervisor sup(model, sc, [&](const pipeline::FrameResult& r) {
+    ++sink_seen;
+    if (stats_every != 0 && sink_seen % stats_every == 0) {
+      const pipeline::CountersSnapshot s = sup.pipeline_counters();
+      std::printf(
+          "[stats] frames=%llu anomalies=%llu degraded=%llu "
+          "extract_fail=%llu mean_extract=%.1fus mean_detect=%.1fus\n",
+          static_cast<unsigned long long>(s.completed.value()),
+          static_cast<unsigned long long>(s.anomalies()),
+          static_cast<unsigned long long>(s.degraded()),
+          static_cast<unsigned long long>(s.extract_failures()),
+          s.mean_extract_us(), s.mean_detect_us());
+    }
+    classify(r, stream[r.seq].is_attack);
+  });
 
   faults::FaultInjector injector(fault_profile, config.adc.max_code(),
                                  seed ^ 0xfa0175eedull);
   injector.bind_metrics(metrics);
-  auto faulted = [&](const sim::LabeledCapture& lc) {
-    return fault_profile.empty() ? lc.capture.codes
-                                 : injector.apply(lc.capture.codes);
-  };
 
-  pipeline::CountersSnapshot c;
-  double elapsed_s = 0.0;
-  bool stopped_early = false;
-  std::optional<runtime::SupervisorStats> sup_stats;
-  runtime::HealthState sup_health = runtime::HealthState::kHealthy;
-
-  if (service) {
-    // Attack labels by the supervisor's global frame index.  The slot is
-    // written before submit() (the queue handoff orders it ahead of the
-    // sink's read); a governor-shed frame's slot is simply rewritten by
-    // the next offered frame.
-    std::vector<char> labels(stream.size(), 0);
-    std::uint64_t next_global = 0;
-
-    runtime::SupervisorConfig sc;
-    sc.pipeline = pc;
-    sc.checkpoint_dir = checkpoint_dir;
-    sc.checkpoint_every = checkpoint_every;
-    sc.governor_high_water = queue_capacity * 3 / 4;
-    sc.governor_low_water = queue_capacity / 4;
-    sc.flight_recorder = true;
-    sc.recorder.bus = "vehicle_" + vehicle_name;
-    sc.recorder.incident_dir = incident_dir;
-    sc.recorder.manifest = manifest;
-    sc.recorder.metrics = metrics;
-    sc.recorder.tracer = trace;
-    runtime::Supervisor sup(
-        model, sc, [&](const pipeline::FrameResult& r) {
-          ++sink_seen;
-          if (stats_every != 0 && sink_seen % stats_every == 0) {
-            print_stats_line(sup.pipeline_counters());
-          }
-          classify(r, labels[r.seq] != 0);
-        });
-
-    obs::StatusServer server;
-    if (status_port >= 0) {
-      server.bind_metrics(metrics);
-      server.route("/healthz", [&](const std::string&) {
-        obs::StatusResponse resp;
-        const bool down = sup.health() == runtime::HealthState::kDegraded;
-        resp.status = down ? 503 : 200;
-        resp.body = down ? "degraded\n" : "ok\n";
-        return resp;
-      });
-      server.route("/metrics", [&](const std::string&) {
-        obs::StatusResponse resp;
-        resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = obs::to_prometheus(registry.samples(), &manifest);
-        return resp;
-      });
-      server.route("/statusz", [&](const std::string&) {
-        const runtime::SupervisorStats ss = sup.stats();
-        const pipeline::CountersSnapshot cs = sup.pipeline_counters();
-        const obs::FlightRecorder* rec = sup.flight_recorder();
-        auto u64 = [](std::uint64_t v) { return std::to_string(v); };
-        std::string body = "{\"health\":";
-        body += obs::json_quote(runtime::to_string(sup.health()));
-        body += ",\"frames\":{\"offered\":" + u64(ss.frames_offered);
-        body += ",\"submitted\":" + u64(ss.frames_submitted);
-        body += ",\"handled\":" + u64(ss.frames_handled);
-        body += ",\"decimated\":" + u64(ss.frames_decimated);
-        body += ",\"completed\":" + u64(cs.completed.value());
-        body += ",\"dropped\":" + u64(cs.dropped.value());
-        body += "},\"lifecycle\":{\"restarts\":" + u64(ss.restarts);
-        body += ",\"stalls\":" + u64(ss.stalls_detected);
-        body += ",\"drift_alarms\":" + u64(ss.drift_alarms);
-        body += ",\"candidates\":" + u64(ss.candidates_started);
-        body += ",\"promotions\":" + u64(ss.promotions);
-        body += ",\"rollbacks\":" + u64(ss.rollbacks);
-        body += ",\"checkpoints\":" + u64(ss.checkpoints_committed);
-        body += "},\"recorder\":{\"records_seen\":" + u64(rec->records_seen());
-        body += ",\"incidents_emitted\":" + u64(rec->incidents_emitted());
-        body += ",\"triggers_coalesced\":" + u64(rec->triggers_coalesced());
-        body += ",\"incidents_suppressed\":" +
-                u64(rec->incidents_suppressed());
-        body += ",\"incident_open\":";
-        body += rec->incident_open() ? "true" : "false";
-        body += "},\"incidents\":[";
-        const std::vector<obs::IncidentSummary> incidents = rec->incidents();
-        for (std::size_t i = 0; i < incidents.size(); ++i) {
-          const obs::IncidentSummary& inc = incidents[i];
-          if (i != 0) body += ',';
-          body += "{\"id\":" + u64(inc.id);
-          body += ",\"cause\":";
-          body += obs::json_quote(obs::to_string(inc.cause));
-          body += ",\"trigger_seq\":" + u64(inc.trigger_seq);
-          body += ",\"detail\":" + obs::json_quote(inc.detail);
-          body += ",\"coalesced\":" + u64(inc.coalesced);
-          body += ",\"pre_records\":" + u64(inc.pre_records);
-          body += ",\"post_records\":" + u64(inc.post_records);
-          body += ",\"path\":" + obs::json_quote(inc.path) + "}";
-        }
-        body += "]}\n";
-        obs::StatusResponse resp;
-        resp.content_type = "application/json";
-        resp.body = std::move(body);
-        return resp;
-      });
-      server.route("/incident/trigger", [&](const std::string&) {
-        sup.trigger_incident("status endpoint trigger");
-        obs::StatusResponse resp;
-        resp.content_type = "application/json";
-        resp.body = "{\"armed\":true}\n";
-        return resp;
-      });
-      server.route_prefix("/incident/", [&](const std::string& path) {
-        obs::StatusResponse resp;
-        resp.content_type = "application/json";
-        const std::uint64_t id =
-            std::strtoull(path.c_str() + sizeof("/incident/") - 1, nullptr,
-                          10);
-        std::string bundle = sup.flight_recorder()->bundle_json(id);
-        if (id == 0 || bundle.empty()) {
-          resp.status = 404;
-          resp.content_type = "text/plain; charset=utf-8";
-          resp.body = "unknown or evicted incident\n";
-        } else {
-          resp.body = std::move(bundle);
-        }
-        return resp;
-      });
-      std::string err;
-      if (!server.start(static_cast<std::uint16_t>(status_port), &err)) {
-        std::fprintf(stderr, "status server: %s\n", err.c_str());
-        return 1;
+  obs::StatusServer server;
+  if (status_port >= 0) {
+    server.bind_metrics(metrics);
+    server.route("/healthz", [&](const std::string&) {
+      obs::StatusResponse resp;
+      const bool down = sup.health() == runtime::HealthState::kDegraded;
+      resp.status = down ? 503 : 200;
+      resp.body = down ? "degraded\n" : "ok\n";
+      return resp;
+    });
+    server.route("/metrics", [&](const std::string&) {
+      obs::StatusResponse resp;
+      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
+      resp.body = obs::to_prometheus(registry.samples(), &manifest);
+      return resp;
+    });
+    server.route("/statusz", [&](const std::string&) {
+      const runtime::SupervisorStats ss = sup.stats();
+      const pipeline::CountersSnapshot cs = sup.pipeline_counters();
+      const obs::FlightRecorder* rec = sup.flight_recorder();
+      auto u64 = [](std::uint64_t v) { return std::to_string(v); };
+      std::string body = "{\"health\":";
+      body += obs::json_quote(runtime::to_string(sup.health()));
+      body += ",\"frames\":{\"offered\":" + u64(ss.frames_offered);
+      body += ",\"submitted\":" + u64(ss.frames_submitted);
+      body += ",\"handled\":" + u64(ss.frames_handled);
+      body += ",\"decimated\":" + u64(ss.frames_decimated);
+      body += ",\"completed\":" + u64(cs.completed.value());
+      body += ",\"dropped\":" + u64(cs.dropped.value());
+      body += "},\"lifecycle\":{\"restarts\":" + u64(ss.restarts);
+      body += ",\"stalls\":" + u64(ss.stalls_detected);
+      body += ",\"drift_alarms\":" + u64(ss.drift_alarms);
+      body += ",\"candidates\":" + u64(ss.candidates_started);
+      body += ",\"promotions\":" + u64(ss.promotions);
+      body += ",\"rollbacks\":" + u64(ss.rollbacks);
+      body += ",\"checkpoints\":" + u64(ss.checkpoints_committed);
+      body += "},\"recorder\":{\"records_seen\":" + u64(rec->records_seen());
+      body += ",\"incidents_emitted\":" + u64(rec->incidents_emitted());
+      body += ",\"triggers_coalesced\":" + u64(rec->triggers_coalesced());
+      body += ",\"incidents_suppressed\":" + u64(rec->incidents_suppressed());
+      body += ",\"incident_open\":";
+      body += rec->incident_open() ? "true" : "false";
+      body += "},\"incidents\":[";
+      const std::vector<obs::IncidentSummary> incidents = rec->incidents();
+      for (std::size_t i = 0; i < incidents.size(); ++i) {
+        const obs::IncidentSummary& inc = incidents[i];
+        if (i != 0) body += ',';
+        body += "{\"id\":" + u64(inc.id);
+        body += ",\"cause\":";
+        body += obs::json_quote(obs::to_string(inc.cause));
+        body += ",\"trigger_seq\":" + u64(inc.trigger_seq);
+        body += ",\"detail\":" + obs::json_quote(inc.detail);
+        body += ",\"coalesced\":" + u64(inc.coalesced);
+        body += ",\"pre_records\":" + u64(inc.pre_records);
+        body += ",\"post_records\":" + u64(inc.post_records);
+        body += ",\"path\":" + obs::json_quote(inc.path) + "}";
       }
-      // Scripts poll stdout for this exact line to learn ephemeral ports.
-      std::printf("status server listening on http://127.0.0.1:%u\n",
-                  static_cast<unsigned>(server.port()));
-      std::fflush(stdout);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    bool operator_fired = false;
-    for (const sim::LabeledCapture& lc : stream) {
-      if (g_stop_requested) break;
-      labels[next_global] = lc.is_attack ? 1 : 0;
-      if (sup.submit(faulted(lc))) ++next_global;
-      if (!operator_fired && trigger_at != 0 && next_global >= trigger_at) {
-        sup.trigger_incident("--trigger-at");
-        operator_fired = true;
+      body += "]}\n";
+      obs::StatusResponse resp;
+      resp.content_type = "application/json";
+      resp.body = std::move(body);
+      return resp;
+    });
+    server.route("/incident/trigger", [&](const std::string&) {
+      sup.trigger_incident("status endpoint trigger");
+      obs::StatusResponse resp;
+      resp.content_type = "application/json";
+      resp.body = "{\"armed\":true}\n";
+      return resp;
+    });
+    server.route_prefix("/incident/", [&](const std::string& path) {
+      obs::StatusResponse resp;
+      resp.content_type = "application/json";
+      const std::uint64_t id =
+          std::strtoull(path.c_str() + sizeof("/incident/") - 1, nullptr, 10);
+      std::string bundle = sup.flight_recorder()->bundle_json(id);
+      if (id == 0 || bundle.empty()) {
+        resp.status = 404;
+        resp.content_type = "text/plain; charset=utf-8";
+        resp.body = "unknown or evicted incident\n";
+      } else {
+        resp.body = std::move(bundle);
       }
-      if (next_global % 64 == 0) sup.poll(steady_now_ns());
-      if (pace_us != 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
-      }
+      return resp;
+    });
+    std::string err;
+    if (!server.start(static_cast<std::uint16_t>(status_port), &err)) {
+      std::fprintf(stderr, "status server: %s\n", err.c_str());
+      return 1;
     }
-    // Graceful shutdown: drain in-flight frames, apply pending control
-    // actions, commit the final checkpoint and flush the flight recorder.
-    sup.finish();
-    server.stop();
-    elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    c = sup.pipeline_counters();
-    sup_stats = sup.stats();
-    sup_health = sup.health();
-    if (const obs::FlightRecorder* rec = sup.flight_recorder()) {
-      std::printf(
-          "\nflight recorder: %llu incidents (%llu coalesced, %llu "
-          "suppressed)%s%s\n",
-          static_cast<unsigned long long>(rec->incidents_emitted()),
-          static_cast<unsigned long long>(rec->triggers_coalesced()),
-          static_cast<unsigned long long>(rec->incidents_suppressed()),
-          incident_dir.empty() ? "" : " -> ",
-          incident_dir.empty() ? "" : incident_dir.c_str());
-    }
-  } else {
-    pipeline::DetectionPipeline* pipe_ptr = nullptr;
-    pipeline::DetectionPipeline pipe(
-        model, pc, [&](pipeline::FrameResult&& r) {
-          ++sink_seen;
-          if (stats_every != 0 && sink_seen % stats_every == 0 &&
-              pipe_ptr != nullptr) {
-            print_stats_line(pipe_ptr->counters());
-          }
-          classify(r, stream[r.seq].is_attack);
-        });
-    pipe_ptr = &pipe;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const sim::LabeledCapture& lc : stream) {
-      if (g_stop_requested) break;
-      pipe.submit(faulted(lc));
-    }
-    pipe.finish();
-    elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    c = pipe.counters();
+    // Scripts poll stdout for this exact line to learn ephemeral ports.
+    std::printf("status server listening on http://127.0.0.1:%u\n",
+                static_cast<unsigned>(server.port()));
+    std::fflush(stdout);
   }
 
-  stopped_early = g_stop_requested != 0;
-  if (stopped_early) {
-    std::printf("\nstop signal received: drained after %llu frames\n",
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t submitted = 0;
+  for (const sim::LabeledCapture& lc : stream) {
+    if (g_stop_requested) break;
+    sup.submit(fault_profile.empty() ? lc.capture.codes
+                                     : injector.apply(lc.capture.codes));
+    ++submitted;
+    if (submitted == trigger_at) sup.trigger_incident("--trigger-at");
+    if (submitted % 64 == 0) sup.poll(steady_now_ns());
+    if (pace_us != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
+    }
+  }
+  // Graceful shutdown: apply pending control actions, commit the final
+  // checkpoint and flush the flight recorder.
+  sup.finish();
+  server.stop();
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const pipeline::CountersSnapshot c = sup.pipeline_counters();
+  const runtime::SupervisorStats ss = sup.stats();
+  const obs::FlightRecorder* rec = sup.flight_recorder();
+  std::printf(
+      "\nflight recorder: %llu incidents (%llu coalesced, %llu "
+      "suppressed)%s%s\n",
+      static_cast<unsigned long long>(rec->incidents_emitted()),
+      static_cast<unsigned long long>(rec->triggers_coalesced()),
+      static_cast<unsigned long long>(rec->incidents_suppressed()),
+      incident_dir.empty() ? "" : " -> ",
+      incident_dir.empty() ? "" : incident_dir.c_str());
+
+  if (g_stop_requested != 0) {
+    std::printf("\nstop signal received: stopped after %llu frames\n",
                 static_cast<unsigned long long>(c.submitted.value()));
   }
   std::printf("\n%s\n", confusion.to_table("monitor verdicts").c_str());
   std::printf("precision %.4f  recall %.4f  f-score %.4f  accuracy %.4f\n",
               confusion.precision(), confusion.recall(), confusion.f_score(),
               confusion.accuracy());
-  std::printf("\npipeline: %zu workers, queue %zu (%s)\n", workers,
-              queue_capacity, block_when_full ? "backpressure" : "drop");
-  std::printf("  frames      %llu submitted, %llu scored, %llu dropped, "
+  std::printf("\nscoring: inline on the intake thread\n");
+  std::printf("  frames      %llu submitted, %llu scored, "
               "%zu extraction failures, %zu degraded\n",
               static_cast<unsigned long long>(c.submitted.value()),
               static_cast<unsigned long long>(c.completed.value()),
-              static_cast<unsigned long long>(c.dropped.value()),
               extraction_failures, degraded);
   std::printf("  verdicts   ");
   for (std::size_t v = 0; v < vprofile::kNumVerdicts; ++v) {
@@ -619,37 +513,33 @@ int main(int argc, char** argv) {
               c.frames_per_second(elapsed_s), elapsed_s);
   std::printf("  latency     extract %.1f us/frame, detect %.1f us/frame\n",
               c.mean_extract_us(), c.mean_detect_us());
-  std::printf("  queue depth high watermark %zu\n", c.queue_high_watermark);
-  if (sup_stats) {
-    const runtime::SupervisorStats& ss = *sup_stats;
-    std::printf("\nsupervisor: health=%s\n", runtime::to_string(sup_health));
-    std::printf(
-        "  lifecycle   restarts=%llu stalls=%llu drift_alarms=%llu "
-        "candidates=%llu promotions=%llu rollbacks=%llu checkpoints=%llu\n",
-        static_cast<unsigned long long>(ss.restarts),
-        static_cast<unsigned long long>(ss.stalls_detected),
-        static_cast<unsigned long long>(ss.drift_alarms),
-        static_cast<unsigned long long>(ss.candidates_started),
-        static_cast<unsigned long long>(ss.promotions),
-        static_cast<unsigned long long>(ss.rollbacks),
-        static_cast<unsigned long long>(ss.checkpoints_committed));
-    std::printf(
-        "  intake      offered=%llu submitted=%llu shed=%llu "
-        "worker_errors=%llu\n",
-        static_cast<unsigned long long>(ss.frames_offered),
-        static_cast<unsigned long long>(ss.frames_submitted),
-        static_cast<unsigned long long>(ss.frames_decimated),
-        static_cast<unsigned long long>(ss.worker_errors));
-    std::printf(
-        "  update gate accepted=%llu rejected_verdict=%llu "
-        "rejected_margin=%llu refused=%llu\n",
-        static_cast<unsigned long long>(ss.gate.accepted),
-        static_cast<unsigned long long>(ss.gate.rejected_verdict),
-        static_cast<unsigned long long>(ss.gate.rejected_margin),
-        static_cast<unsigned long long>(ss.gate.refused_by_updater));
-    if (!checkpoint_dir.empty()) {
-      std::printf("  checkpoints -> %s\n", checkpoint_dir.c_str());
-    }
+  std::printf("\nsupervisor: health=%s\n", runtime::to_string(sup.health()));
+  std::printf(
+      "  lifecycle   restarts=%llu stalls=%llu drift_alarms=%llu "
+      "candidates=%llu promotions=%llu rollbacks=%llu checkpoints=%llu\n",
+      static_cast<unsigned long long>(ss.restarts),
+      static_cast<unsigned long long>(ss.stalls_detected),
+      static_cast<unsigned long long>(ss.drift_alarms),
+      static_cast<unsigned long long>(ss.candidates_started),
+      static_cast<unsigned long long>(ss.promotions),
+      static_cast<unsigned long long>(ss.rollbacks),
+      static_cast<unsigned long long>(ss.checkpoints_committed));
+  std::printf(
+      "  intake      offered=%llu submitted=%llu shed=%llu "
+      "worker_errors=%llu\n",
+      static_cast<unsigned long long>(ss.frames_offered),
+      static_cast<unsigned long long>(ss.frames_submitted),
+      static_cast<unsigned long long>(ss.frames_decimated),
+      static_cast<unsigned long long>(ss.worker_errors));
+  std::printf(
+      "  update gate accepted=%llu rejected_verdict=%llu "
+      "rejected_margin=%llu refused=%llu\n",
+      static_cast<unsigned long long>(ss.gate.accepted),
+      static_cast<unsigned long long>(ss.gate.rejected_verdict),
+      static_cast<unsigned long long>(ss.gate.rejected_margin),
+      static_cast<unsigned long long>(ss.gate.refused_by_updater));
+  if (!checkpoint_dir.empty()) {
+    std::printf("  checkpoints -> %s\n", checkpoint_dir.c_str());
   }
 
   if (want_metrics || trace != nullptr) {

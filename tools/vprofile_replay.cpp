@@ -5,10 +5,11 @@
 //   vprofile_replay BUNDLE.json [--verbose]
 //
 // The bundle is self-describing: the manifest pins the run (vehicle,
-// seed, training count, worker count), the context carries the exact
+// seed, training count), the context carries the exact
 // DetectionConfig, and every evidence record keeps its extracted feature
 // vector as exact doubles (%.17g round-trips bit-for-bit through
-// strtod).  Replay retrains the same model from the same seed, rebuilds
+// strtod).  Replay retrains the same model from the same seed through
+// sim::train_on_clean_traffic, the recipe vprofile_monitor uses, rebuilds
 // the detection config, re-scores every generation-0 record that
 // retained its features, and compares the verdict code, the cluster
 // attribution, and the min_distance / confidence doubles *by bit
@@ -31,7 +32,6 @@
 
 #include "core/detector.hpp"
 #include "core/edge_set.hpp"
-#include "core/extractor.hpp"
 #include "core/trainer.hpp"
 #include "io/json.hpp"
 #include "obs/flight_recorder.hpp"
@@ -55,7 +55,7 @@ std::string need_string(const io::json::Value* obj, const char* key,
   return v->string;
 }
 
-/// Manifest config values are strings ("workers": "2"); parse the digits.
+/// Manifest config values are strings ("train": "1500"); parse the digits.
 std::uint64_t need_config_u64(const io::json::Value* obj, const char* key,
                               const char* where) {
   const std::string s = need_string(obj, key, where);
@@ -154,11 +154,8 @@ int main(int argc, char** argv) {
       need_string(config, "vehicle", "manifest.config");
   const std::size_t train_count = static_cast<std::size_t>(
       need_config_u64(config, "train", "manifest.config"));
-  const std::size_t workers = static_cast<std::size_t>(
-      need_config_u64(config, "workers", "manifest.config"));
   const std::uint64_t seed = need_u64(seeds, "seed", "manifest.seeds");
-  if ((vehicle_name != "a" && vehicle_name != "b") || train_count == 0 ||
-      workers == 0) {
+  if ((vehicle_name != "a" && vehicle_name != "b") || train_count == 0) {
     std::fprintf(stderr, "bundle: unreplayable manifest config\n");
     return 2;
   }
@@ -179,30 +176,15 @@ int main(int argc, char** argv) {
   dc.flat_run_min = static_cast<std::size_t>(
       need_u64(detection, "flat_run_min", "context.detection"));
 
-  // Rebuild the generation-0 model exactly as vprofile_monitor did:
-  // same vehicle preset, same seed, same clean-capture training stream,
-  // same thread count (training is thread-count invariant, but match it
-  // anyway so any future regression shows up here too).
+  // Rebuild the generation-0 model: same vehicle preset, same seed, same
+  // training recipe.
   std::printf("retraining: vehicle %s, seed %llu, %zu messages...\n",
               vehicle_name.c_str(), static_cast<unsigned long long>(seed),
               train_count);
-  const sim::VehicleConfig vc =
-      (vehicle_name == "a") ? sim::vehicle_a() : sim::vehicle_b();
-  sim::Vehicle vehicle(vc, seed);
-  const analog::Environment env = analog::Environment::reference();
-  const vprofile::ExtractionConfig extraction = sim::default_extraction(vc);
-  std::vector<vprofile::EdgeSet> edge_sets;
-  edge_sets.reserve(train_count);
-  for (const sim::Capture& cap : vehicle.capture(train_count, env)) {
-    if (auto es = vprofile::extract_edge_set(cap.codes, extraction)) {
-      edge_sets.push_back(std::move(*es));
-    }
-  }
-  vprofile::TrainingConfig tc;
-  tc.extraction = extraction;
-  tc.num_threads = workers;
-  const vprofile::TrainOutcome trained =
-      vprofile::train_with_database(edge_sets, vehicle.database(), tc);
+  sim::Vehicle vehicle(
+      vehicle_name == "a" ? sim::vehicle_a() : sim::vehicle_b(), seed);
+  const vprofile::TrainOutcome trained = sim::train_on_clean_traffic(
+      vehicle, train_count, analog::Environment::reference(), {});
   if (!trained.ok()) {
     std::fprintf(stderr, "retraining failed: %s\n", trained.error.c_str());
     return 2;
