@@ -382,8 +382,7 @@ IngestResult FleetService::ingest(const std::string& tenant_id,
   return out.result;
 }
 
-IngestResult FleetService::handle_wire_event(
-    const wire::Decoder::Event& event) {
+IngestResult FleetService::handle_wire_event(wire::Decoder::Event event) {
   if (event.error != wire::DecodeError::kNone) {
     Tenant* quarantinee = nullptr;
     {
@@ -418,7 +417,7 @@ IngestResult FleetService::handle_wire_event(
     return IngestResult::kAccepted;
   }
 
-  const wire::Frame& frame = *event.frame;
+  wire::Frame& frame = *event.frame;
   if (frame.kind == wire::FrameKind::kDrain) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -457,7 +456,7 @@ IngestResult FleetService::handle_wire_event(
     tenant.next_wire_seq = frame.seq + 1;
     ++tenant.transport.frames;
   }
-  return ingest(frame.tenant, dsp::Trace(event.frame->samples));
+  return ingest(frame.tenant, std::move(frame.samples));
 }
 
 void FleetService::drain_tenant(const std::string& tenant_id) {

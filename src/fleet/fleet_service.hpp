@@ -214,8 +214,10 @@ class FleetService {
 
   /// Applies one decoded wire event: frames go through seq dedup/gap
   /// tracking and then ingest(); decode errors are attributed to the
-  /// claimed tenant and can quarantine it.  Thread-safe.
-  IngestResult handle_wire_event(const wire::Decoder::Event& event);
+  /// claimed tenant and can quarantine it.  Takes the event by value so
+  /// a caller that moves it in hands the decoded trace over without a
+  /// copy.  Thread-safe.
+  IngestResult handle_wire_event(wire::Decoder::Event event);
 
   /// Finishes one tenant's supervisor (terminal; further frames are
   /// dropped as kUnavailable).  The wire kDrain frame routes here.

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "fleet/fleet_service.hpp"
 #include "fleet/wire.hpp"
@@ -167,7 +168,7 @@ void IngestServer::serve_connection(int client_fd) {
     bytes += static_cast<std::uint64_t>(n);
     decoder.feed(buf, static_cast<std::size_t>(n));
     while (auto event = decoder.next()) {
-      service_->handle_wire_event(*event);
+      service_->handle_wire_event(std::move(*event));
     }
   }
   // Whatever is still buffered is a torn tail; the decoder already
@@ -178,6 +179,7 @@ void IngestServer::serve_connection(int client_fd) {
   stats_.frames_decoded += ds.frames_decoded;
   stats_.decode_errors += ds.errors;
   stats_.resyncs += ds.resyncs;
+  stats_.f64_frames += ds.f64_frames;
 }
 
 }  // namespace fleet

@@ -41,6 +41,7 @@ struct IngestServerStats {
   std::uint64_t frames_decoded = 0;
   std::uint64_t decode_errors = 0;
   std::uint64_t resyncs = 0;
+  std::uint64_t f64_frames = 0;  // frames that could not ship as u16
 };
 
 class IngestServer {

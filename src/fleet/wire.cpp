@@ -11,79 +11,152 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 4;  // magic + payload_len
 constexpr std::size_t kTrailerBytes = 4;     // crc32
+/// Payload bytes between the tenant and the samples: seq, sample_format,
+/// sample_count.
+constexpr std::size_t kAfterTenantBytes = 8 + 1 + 4;
+/// Payload bytes around the tenant and the samples: kind and tenant_len,
+/// then the fields above.
+constexpr std::size_t kFixedPayloadBytes = 1 + 2 + kAfterTenantBytes;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
+// Fixed-width little-endian stores and loads into a sized buffer.  The
+// byte shifts are spelled out so that compilers fuse each one into a
+// single move on little-endian hosts (a shift loop defeats that).
+void put_u16(unsigned char* p, std::uint16_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
+void put_u32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
+  p[2] = static_cast<unsigned char>(v >> 16);
+  p[3] = static_cast<unsigned char>(v >> 24);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
+void put_u64(unsigned char* p, std::uint64_t v) {
+  put_u32(p, static_cast<std::uint32_t>(v));
+  put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint16_t get_u16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) |
-                                    static_cast<std::uint16_t>(p[1]) << 8);
+  return static_cast<std::uint16_t>(p[0] | p[1] << 8);
 }
 
 std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return static_cast<std::uint64_t>(get_u32(p)) |
+         static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
+}
+
+std::size_t sample_width(std::uint8_t format) {
+  switch (static_cast<SampleFormat>(format)) {
+    case SampleFormat::kF64:
+      return 8;
+    case SampleFormat::kU16:
+      return 2;
+  }
+  return 0;
+}
+
+/// Writes every sample as a u16 code, in one pass that checks each one
+/// converts back to the same f64 bit pattern.  Returns false at the
+/// first sample that does not (NaN, ±inf, -0.0, fractional or out of
+/// range); `out` then holds a partial write the caller overwrites.
+///
+/// The conversion adds 2^52: in [2^52, 2^53) the ulp is 1, so the sum is
+/// an integer whose value sits in the low mantissa bits and the code is
+/// its bit-pattern distance from 2^52.  Subtracting 2^52 again is the
+/// conversion back.  Whatever the rounding, a sample passes only if it
+/// equals that code exactly, and the loop needs no float-to-integer
+/// conversion instruction, the slow part of a plain cast.
+bool put_u16_codes(const dsp::Trace& samples, unsigned char* out) {
+  constexpr double kTwo52 = 4503599627370496.0;
+  constexpr std::uint64_t kTwo52Bits = std::bit_cast<std::uint64_t>(kTwo52);
+  for (const double s : samples) {
+    const double shifted = s + kTwo52;
+    // Negative, NaN, infinite and large samples land far outside 16 bits.
+    const std::uint64_t code =
+        std::bit_cast<std::uint64_t>(shifted) - kTwo52Bits;
+    if (code > 0xFFFF || std::bit_cast<std::uint64_t>(shifted - kTwo52) !=
+                             std::bit_cast<std::uint64_t>(s)) {
+      return false;
+    }
+    put_u16(out, static_cast<std::uint16_t>(code));
+    out += 2;
+  }
+  return true;
+}
+
+/// Reads the tenant field, the identity a rejected frame can still be
+/// attributed to.  Returns the payload offset just past it, or 0 when
+/// the field is out of bounds (`tenant` is then left untouched).
+std::size_t parse_tenant(const unsigned char* p, std::size_t len,
+                         std::string* tenant) {
+  if (len < 1 + 2) return 0;
+  const std::size_t tenant_len = get_u16(p + 1);
+  if (tenant_len == 0 || tenant_len > kMaxTenantBytes ||
+      len < 1 + 2 + tenant_len) {
+    return 0;
+  }
+  tenant->assign(reinterpret_cast<const char*>(p + 3), tenant_len);
+  return 1 + 2 + tenant_len;
 }
 
 /// Parses the payload body into a frame.  Returns kNone on success; on
-/// failure `claimed` receives the tenant string when the tenant field
-/// itself was still within bounds (best-effort attribution).
+/// failure `out->tenant` still holds the tenant string when the tenant
+/// field itself was within bounds (best-effort attribution).
 DecodeError parse_payload(const unsigned char* p, std::size_t len,
-                          Frame* out, std::string* claimed) {
-  // Fixed prefix: kind(1) + tenant_len(2).
-  if (len < 1 + 2) return DecodeError::kBadPayload;
-  const std::uint8_t kind = p[0];
-  const std::size_t tenant_len = get_u16(p + 1);
-  if (tenant_len == 0 || tenant_len > kMaxTenantBytes ||
-      len < 1 + 2 + tenant_len + 8 + 4) {
+                          Frame* out, SampleFormat* format) {
+  // One reject per line, so line coverage shows each one is reached.
+  const std::size_t tenant_end = parse_tenant(p, len, &out->tenant);
+  if (tenant_end == 0) {
     return DecodeError::kBadPayload;
   }
-  std::string tenant(reinterpret_cast<const char*>(p + 3), tenant_len);
-  *claimed = tenant;
+  const std::uint8_t kind = p[0];
   if (kind != static_cast<std::uint8_t>(FrameKind::kData) &&
       kind != static_cast<std::uint8_t>(FrameKind::kDrain)) {
     return DecodeError::kBadPayload;
   }
-  const unsigned char* cursor = p + 3 + tenant_len;
+  if (len < tenant_end + kAfterTenantBytes) {
+    return DecodeError::kBadPayload;
+  }
+  const unsigned char* cursor = p + tenant_end;
   const std::uint64_t seq = get_u64(cursor);
-  cursor += 8;
-  const std::size_t sample_count = get_u32(cursor);
-  cursor += 4;
-  if (sample_count > kMaxSamples) return DecodeError::kBadPayload;
+  const std::uint8_t format_byte = cursor[8];
+  const std::size_t sample_count = get_u32(cursor + 9);
+  cursor += kAfterTenantBytes;
+  const std::size_t width = sample_width(format_byte);
+  if (width == 0) {
+    return DecodeError::kBadPayload;
+  }
+  if (sample_count > kMaxSamples) {
+    return DecodeError::kBadPayload;
+  }
   // The declared lengths must tile the payload exactly: a frame whose
   // sample count disagrees with its length prefix is corrupt even when
   // the CRC (computed by the corrupter) checks out.
-  const std::size_t expected = 1 + 2 + tenant_len + 8 + 4 + sample_count * 8;
-  if (expected != len) return DecodeError::kBadPayload;
+  if (tenant_end + kAfterTenantBytes + sample_count * width != len) {
+    return DecodeError::kBadPayload;
+  }
   out->kind = static_cast<FrameKind>(kind);
-  out->tenant = std::move(tenant);
   out->seq = seq;
-  out->samples.clear();
-  out->samples.reserve(sample_count);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    out->samples.push_back(
-        std::bit_cast<double>(get_u64(cursor + i * 8)));
+  *format = static_cast<SampleFormat>(format_byte);
+  out->samples.resize(sample_count);
+  double* samples = out->samples.data();
+  if (*format == SampleFormat::kU16) {
+    for (std::size_t i = 0; i < sample_count; ++i) {
+      samples[i] = static_cast<double>(get_u16(cursor + i * 2));
+    }
+  } else {
+    for (std::size_t i = 0; i < sample_count; ++i) {
+      samples[i] = std::bit_cast<double>(get_u64(cursor + i * 8));
+    }
   }
   return DecodeError::kNone;
 }
@@ -111,24 +184,42 @@ std::string encode(const Frame& frame) {
       frame.samples.size() > kMaxSamples) {
     return {};
   }
-  std::string payload;
-  payload.reserve(1 + 2 + frame.tenant.size() + 8 + 4 +
-                  frame.samples.size() * 8);
-  payload.push_back(static_cast<char>(frame.kind));
-  put_u16(payload, static_cast<std::uint16_t>(frame.tenant.size()));
-  payload += frame.tenant;
-  put_u64(payload, frame.seq);
-  put_u32(payload, static_cast<std::uint32_t>(frame.samples.size()));
-  for (const double sample : frame.samples) {
-    put_u64(payload, std::bit_cast<std::uint64_t>(sample));
-  }
+  const std::size_t count = frame.samples.size();
+  const std::size_t fixed = kFixedPayloadBytes + frame.tenant.size();
+  // Sized for u16 samples; the f64 fallback grows it once.
+  std::string out(kHeaderBytes + fixed + count * 2 + kTrailerBytes, '\0');
+  auto* p = reinterpret_cast<unsigned char*>(out.data());
+  std::memcpy(p, kMagic, sizeof(kMagic));
+  unsigned char* cursor = p + kHeaderBytes;
+  *cursor++ = static_cast<unsigned char>(frame.kind);
+  put_u16(cursor, static_cast<std::uint16_t>(frame.tenant.size()));
+  cursor += 2;
+  std::memcpy(cursor, frame.tenant.data(), frame.tenant.size());
+  cursor += frame.tenant.size();
+  put_u64(cursor, frame.seq);
+  cursor += 8;
+  const std::size_t format_at = static_cast<std::size_t>(cursor - p);
+  ++cursor;
+  put_u32(cursor, static_cast<std::uint32_t>(count));
+  cursor += 4;
 
-  std::string out;
-  out.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
-  out.append(reinterpret_cast<const char*>(kMagic), sizeof(kMagic));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out += payload;
-  put_u32(out, io::crc32(payload));
+  SampleFormat format = SampleFormat::kU16;
+  if (!put_u16_codes(frame.samples, cursor)) {
+    format = SampleFormat::kF64;
+    const std::size_t samples_at = static_cast<std::size_t>(cursor - p);
+    out.resize(kHeaderBytes + fixed + count * 8 + kTrailerBytes);
+    p = reinterpret_cast<unsigned char*>(out.data());
+    cursor = p + samples_at;
+    for (const double sample : frame.samples) {
+      put_u64(cursor, std::bit_cast<std::uint64_t>(sample));
+      cursor += 8;
+    }
+  }
+  p[format_at] = static_cast<unsigned char>(format);
+  const std::size_t payload_len = out.size() - kHeaderBytes - kTrailerBytes;
+  put_u32(p + 4, static_cast<std::uint32_t>(payload_len));
+  put_u32(p + kHeaderBytes + payload_len,
+          io::crc32(p + kHeaderBytes, payload_len));
   return out;
 }
 
@@ -210,29 +301,28 @@ std::optional<Decoder::Event> Decoder::next() {
     const std::uint32_t stored_crc = get_u32(payload + payload_len);
     Event ev;
     if (io::crc32(payload, payload_len) != stored_crc) {
-      ev.error = DecodeError::kBadCrc;
       // Best-effort attribution: a bit flip in the samples leaves the
-      // tenant field intact often enough to be worth reporting.
-      Frame scratch;
-      std::string claimed;
-      parse_payload(payload, payload_len, &scratch, &claimed);
-      ev.claimed_tenant = std::move(claimed);
+      // tenant field intact often enough to be worth reporting.  The
+      // samples of a corrupt frame are never decoded.
+      ev.error = DecodeError::kBadCrc;
+      parse_tenant(payload, payload_len, &ev.claimed_tenant);
       ++stats_.errors;
       consume(total);
       return ev;
     }
     Frame frame;
-    std::string claimed;
-    const DecodeError err = parse_payload(payload, payload_len, &frame,
-                                          &claimed);
+    SampleFormat format = SampleFormat::kU16;
+    const DecodeError err =
+        parse_payload(payload, payload_len, &frame, &format);
     consume(total);
     if (err != DecodeError::kNone) {
       ev.error = err;
-      ev.claimed_tenant = std::move(claimed);
+      ev.claimed_tenant = std::move(frame.tenant);
       ++stats_.errors;
       return ev;
     }
     ++stats_.frames_decoded;
+    if (format == SampleFormat::kF64) ++stats_.f64_frames;
     ev.frame = std::move(frame);
     ev.claimed_tenant = ev.frame->tenant;
     return ev;

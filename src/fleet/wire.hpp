@@ -4,15 +4,29 @@
 // transport: a truck-side uplink reconnecting mid-frame delivers torn
 // bytes, a flaky relay duplicates or reorders chunks, and a hostile peer
 // sends garbage dressed up as length prefixes.  The codec therefore
-// treats every byte as adversarial.  Each frame is:
+// treats every byte as adversarial.  Each frame (format VPW2) is:
 //
-//   magic "VPW1" | u32 payload_len | payload | u32 crc32(payload)
+//   magic "VPW2" | u32 payload_len | payload | u32 crc32(payload)
 //
 // with the payload carrying the tenant identity, a per-tenant sequence
 // number and the raw ADC trace:
 //
 //   u8 kind | u16 tenant_len | tenant bytes | u64 seq
-//   | u32 sample_count | sample_count × f64 (IEEE-754 bit patterns, LE)
+//   | u8 sample_format | u32 sample_count | sample_count × sample
+//
+// A trace holds the digitizer's integer codes as doubles.  The encoder
+// ships it as u16 codes when that is lossless — every sample converts
+// to a u16 and back to the same f64 bit pattern, i.e. it is an integral
+// code in [0, 65535] and not -0.0 — and as f64 bit patterns otherwise
+// (NaN, ±inf, -0.0, fractional or out-of-range samples, e.g. from a
+// resampling fault profile).  The rule is a property of the format, not
+// a setting: a decoded trace is always bit-identical to the encoded one,
+// so wire verdicts equal in-process verdicts.  u16 frames are a quarter
+// of the bytes.
+//
+// VPW1 (f64 only) is not decoded: nothing persists wire bytes and every
+// sender goes through encode(), so a VPW1 chunk resyncs as kBadMagic.
+// The CRC is the zlib-compatible CRC-32 of io::crc32.
 //
 // Decoding never throws and never reads past the fed bytes.  A frame
 // whose magic, lengths, CRC or internal consistency fail is *skipped*:
@@ -34,14 +48,14 @@
 
 namespace fleet::wire {
 
-/// First bytes of every frame ("VPW1" in ASCII order on the wire).
-inline constexpr unsigned char kMagic[4] = {'V', 'P', 'W', '1'};
+/// First bytes of every frame ("VPW2" in ASCII order on the wire).
+inline constexpr unsigned char kMagic[4] = {'V', 'P', 'W', '2'};
 
 /// Hard ceilings a hostile length prefix cannot talk the decoder out of.
 inline constexpr std::size_t kMaxTenantBytes = 256;
 inline constexpr std::size_t kMaxSamples = 1u << 20;
 inline constexpr std::size_t kMaxPayloadBytes =
-    1 + 2 + kMaxTenantBytes + 8 + 4 + kMaxSamples * 8;
+    1 + 2 + kMaxTenantBytes + 8 + 1 + 4 + kMaxSamples * 8;
 
 /// Frame kinds.  kData carries a trace; kDrain asks the service to finish
 /// the tenant's in-flight work (used by clients that want a synchronous
@@ -49,6 +63,12 @@ inline constexpr std::size_t kMaxPayloadBytes =
 enum class FrameKind : std::uint8_t {
   kData = 1,
   kDrain = 2,
+};
+
+/// How a frame's samples travel: each format's value is its wire byte.
+enum class SampleFormat : std::uint8_t {
+  kF64 = 1,  // IEEE-754 bit patterns, 8 bytes per sample
+  kU16 = 2,  // ADC codes, 2 bytes per sample
 };
 
 /// One decoded frame.
@@ -67,14 +87,16 @@ enum class DecodeError : std::uint8_t {
   kBadMagic,       // resynchronized past garbage bytes
   kOversized,      // length prefix beyond kMaxPayloadBytes
   kBadCrc,         // payload checksum mismatch (torn or corrupted frame)
-  kBadPayload,     // lengths inconsistent with payload_len, or bad kind
+  kBadPayload,     // lengths inconsistent with payload_len, bad kind or
+                   // unknown sample format
 };
 
 const char* to_string(DecodeError error);
 
-/// Serializes one frame (always valid output; inputs beyond the ceilings
-/// are clamped by the caller's contract — encode() returns "" when
-/// `tenant` or `samples` exceed the wire ceilings instead of producing an
+/// Serializes one frame, as u16 samples when that is lossless and as f64
+/// otherwise (always valid output; inputs beyond the ceilings are
+/// clamped by the caller's contract — encode() returns "" when `tenant`
+/// or `samples` exceed the wire ceilings instead of producing an
 /// undecodable frame).
 std::string encode(const Frame& frame);
 
@@ -90,6 +112,8 @@ class Decoder {
     std::uint64_t resyncs = 0;          // garbage runs skipped
     std::uint64_t bytes_skipped = 0;    // bytes discarded resynchronizing
     std::uint64_t errors = 0;           // frames rejected (crc/length/...)
+    std::uint64_t f64_frames = 0;       // decoded frames that paid 8-byte
+                                        // samples (not lossless as u16)
   };
 
   /// One decode event: either a frame, or an error with best-effort

@@ -17,6 +17,7 @@
 #include "core/extractor.hpp"
 #include "core/trainer.hpp"
 #include "dsp/trace.hpp"
+#include "faults/fault.hpp"
 #include "fleet/fleet_service.hpp"
 #include "fleet/wire.hpp"
 #include "io/checksum.hpp"
@@ -33,6 +34,7 @@ using fleet::wire::Decoder;
 using fleet::wire::DecodeError;
 using fleet::wire::Frame;
 using fleet::wire::FrameKind;
+using fleet::wire::SampleFormat;
 
 // ---------------------------------------------------------------------------
 // Wire codec helpers.
@@ -48,6 +50,82 @@ Frame make_frame(std::string tenant, std::uint64_t seq, std::size_t samples) {
   }
   return f;
 }
+
+/// Integral ADC codes in [0, 65535]: the frame a real digitizer sends,
+/// which ships as u16.
+Frame make_code_frame(std::string tenant, std::uint64_t seq,
+                      std::size_t samples) {
+  Frame f = make_frame(std::move(tenant), seq, 0);
+  for (std::size_t i = 0; i < samples; ++i) {
+    f.samples.push_back(static_cast<double>((i * 9973 + seq * 31) % 65536));
+  }
+  return f;
+}
+
+/// make_frame's fractional samples ship as f64; make_code_frame's as u16.
+/// The fuzz tests below run once per encoding.
+constexpr SampleFormat kFormats[] = {SampleFormat::kU16, SampleFormat::kF64};
+
+Frame make_frame_as(SampleFormat format, std::string tenant, std::uint64_t seq,
+                    std::size_t samples) {
+  return format == SampleFormat::kU16
+             ? make_code_frame(std::move(tenant), seq, samples)
+             : make_frame(std::move(tenant), seq, samples);
+}
+
+const char* format_name(SampleFormat format) {
+  return format == SampleFormat::kU16 ? "u16" : "f64";
+}
+
+/// Encoded size of `f` when its samples ship at `width` bytes each:
+/// header 8, fixed payload fields 16, tenant, samples, CRC 4.
+std::size_t encoded_size(const Frame& f, std::size_t width) {
+  return 8 + 16 + f.tenant.size() + f.samples.size() * width + 4;
+}
+
+/// Wraps a hand-built payload in magic, length prefix and a valid CRC.
+std::string wrap_payload(const std::string& payload,
+                         const unsigned char* magic = fleet::wire::kMagic) {
+  std::string bytes(reinterpret_cast<const char*>(magic), 4);
+  for (int shift = 0; shift < 32; shift += 8) {
+    bytes.push_back(static_cast<char>((payload.size() >> shift) & 0xFF));
+  }
+  bytes += payload;
+  const std::uint32_t crc = io::crc32(payload);
+  for (int shift = 0; shift < 32; shift += 8) {
+    bytes.push_back(static_cast<char>((crc >> shift) & 0xFF));
+  }
+  return bytes;
+}
+
+/// A hand-built VPW2 payload, wrapped with a valid CRC: the fields a
+/// corrupter controls, each defaulting to a consistent u16 frame.
+struct HandPayload {
+  std::uint8_t kind = static_cast<std::uint8_t>(FrameKind::kData);
+  std::string tenant = "truck-9";
+  std::optional<std::size_t> tenant_len = {};  // default: tenant.size()
+  std::uint8_t format = static_cast<std::uint8_t>(SampleFormat::kU16);
+  std::size_t count = 0;
+  std::size_t sample_bytes = 0;
+  std::optional<std::size_t> cut_to = {};  // truncate the payload here
+
+  std::string bytes() const {
+    const std::size_t len = tenant_len.value_or(tenant.size());
+    std::string p;
+    p.push_back(static_cast<char>(kind));
+    p.push_back(static_cast<char>(len & 0xFF));
+    p.push_back(static_cast<char>((len >> 8) & 0xFF));
+    p += tenant;
+    p.append(8, '\0');  // seq
+    p.push_back(static_cast<char>(format));
+    for (int shift = 0; shift < 32; shift += 8) {
+      p.push_back(static_cast<char>((count >> shift) & 0xFF));
+    }
+    p.append(sample_bytes, '\x01');
+    if (cut_to.has_value()) p.resize(*cut_to);
+    return wrap_payload(p);
+  }
+};
 
 std::vector<Decoder::Event> pump(Decoder& decoder) {
   std::vector<Decoder::Event> events;
@@ -77,6 +155,24 @@ bool frames_equal(const Frame& a, const Frame& b) {
     if (lhs != rhs) return false;
   }
   return true;
+}
+
+/// Encodes and decodes `f`, expects it back bit-identical, and returns
+/// the sample format the encoder chose.
+SampleFormat round_trip_format(const Frame& f) {
+  const std::string bytes = fleet::wire::encode(f);
+  Decoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  const auto events = pump(decoder);
+  EXPECT_EQ(events.size(), 1u);
+  if (events.size() != 1 || !events[0].frame.has_value()) {
+    ADD_FAILURE() << "frame did not decode";
+    return SampleFormat::kF64;
+  }
+  EXPECT_TRUE(frames_equal(*events[0].frame, f));
+  const bool f64 = decoder.stats().f64_frames == 1;
+  EXPECT_EQ(bytes.size(), encoded_size(f, f64 ? 8 : 2));
+  return f64 ? SampleFormat::kF64 : SampleFormat::kU16;
 }
 
 TEST(Wire, RoundTripPreservesBitPatterns) {
@@ -135,25 +231,28 @@ TEST(Wire, EncodeRefusesOverCeilingInputs) {
 // remaining suffix afterwards must always produce exactly the original
 // frame (per-connection reassembly).
 TEST(Wire, TruncationAtEveryByteOffsetThenReassembly) {
-  const Frame f = make_frame("truck-1", 3, 5);
-  const std::string bytes = fleet::wire::encode(f);
-  ASSERT_FALSE(bytes.empty());
+  for (const SampleFormat format : kFormats) {
+    SCOPED_TRACE(format_name(format));
+    const Frame f = make_frame_as(format, "truck-1", 3, 5);
+    ASSERT_EQ(round_trip_format(f), format);
+    const std::string bytes = fleet::wire::encode(f);
 
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    Decoder decoder;
-    decoder.feed(bytes.data(), cut);
-    const auto before = pump(decoder);
-    EXPECT_EQ(count_frames(before), 0u) << "cut=" << cut;
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      Decoder decoder;
+      decoder.feed(bytes.data(), cut);
+      const auto before = pump(decoder);
+      EXPECT_EQ(count_frames(before), 0u) << "cut=" << cut;
 
-    decoder.feed(bytes.data() + cut, bytes.size() - cut);
-    const auto after = pump(decoder);
-    ASSERT_EQ(count_frames(after), 1u) << "cut=" << cut;
-    for (const auto& ev : after) {
-      if (ev.frame.has_value()) {
-        EXPECT_TRUE(frames_equal(*ev.frame, f));
+      decoder.feed(bytes.data() + cut, bytes.size() - cut);
+      const auto after = pump(decoder);
+      ASSERT_EQ(count_frames(after), 1u) << "cut=" << cut;
+      for (const auto& ev : after) {
+        if (ev.frame.has_value()) {
+          EXPECT_TRUE(frames_equal(*ev.frame, f));
+        }
       }
+      EXPECT_EQ(decoder.buffered(), 0u) << "cut=" << cut;
     }
-    EXPECT_EQ(decoder.buffered(), 0u) << "cut=" << cut;
   }
 }
 
@@ -207,30 +306,34 @@ TEST(Wire, FlippedLengthPrefixNeverYieldsFrame) {
 // A flipped payload byte is caught by the CRC; the following pristine
 // frame always decodes (consume-and-continue, not connection death).
 TEST(Wire, FlippedPayloadByteAtEveryOffsetIsCaughtByCrc) {
-  const Frame f0 = make_frame("truck-1", 0, 3);
-  const Frame f1 = make_frame("truck-1", 1, 3);
-  const std::string b0 = fleet::wire::encode(f0);
-  const std::string b1 = fleet::wire::encode(f1);
-  const std::size_t payload_len = b0.size() - 8 - 4;
-  const std::size_t samples_start = 8 + 1 + 2 + f0.tenant.size() + 8 + 4;
+  for (const SampleFormat format : kFormats) {
+    SCOPED_TRACE(format_name(format));
+    const Frame f0 = make_frame_as(format, "truck-1", 0, 3);
+    const Frame f1 = make_frame_as(format, "truck-1", 1, 3);
+    ASSERT_EQ(round_trip_format(f0), format);
+    const std::string b0 = fleet::wire::encode(f0);
+    const std::string b1 = fleet::wire::encode(f1);
+    const std::size_t payload_len = b0.size() - 8 - 4;
+    const std::size_t tenant_end = 8 + 1 + 2 + f0.tenant.size();
 
-  for (std::size_t off = 8; off < 8 + payload_len; ++off) {
-    std::string corrupted = b0;
-    corrupted[off] = static_cast<char>(
-        static_cast<unsigned char>(corrupted[off]) ^ 0x20);
-    Decoder decoder;
-    decoder.feed(corrupted.data(), corrupted.size());
-    decoder.feed(b1.data(), b1.size());
-    const auto events = pump(decoder);
-    ASSERT_EQ(events.size(), 2u) << "off=" << off;
-    EXPECT_EQ(events[0].error, DecodeError::kBadCrc) << "off=" << off;
-    if (off >= samples_start) {
-      // Flips outside the identity fields still attribute the error to
-      // the claimed tenant — that is what drives quarantine.
-      EXPECT_EQ(events[0].claimed_tenant, "truck-1") << "off=" << off;
+    for (std::size_t off = 8; off < 8 + payload_len; ++off) {
+      std::string corrupted = b0;
+      corrupted[off] = static_cast<char>(
+          static_cast<unsigned char>(corrupted[off]) ^ 0x20);
+      Decoder decoder;
+      decoder.feed(corrupted.data(), corrupted.size());
+      decoder.feed(b1.data(), b1.size());
+      const auto events = pump(decoder);
+      ASSERT_EQ(events.size(), 2u) << "off=" << off;
+      EXPECT_EQ(events[0].error, DecodeError::kBadCrc) << "off=" << off;
+      if (off >= tenant_end) {
+        // Flips outside the identity fields still attribute the error to
+        // the claimed tenant — that is what drives quarantine.
+        EXPECT_EQ(events[0].claimed_tenant, "truck-1") << "off=" << off;
+      }
+      ASSERT_TRUE(events[1].frame.has_value()) << "off=" << off;
+      EXPECT_TRUE(frames_equal(*events[1].frame, f1));
     }
-    ASSERT_TRUE(events[1].frame.has_value()) << "off=" << off;
-    EXPECT_TRUE(frames_equal(*events[1].frame, f1));
   }
 }
 
@@ -312,59 +415,210 @@ TEST(Wire, OversizedLengthPrefixIsRejectedAndRecovers) {
 }
 
 // A frame whose CRC is valid but whose internals are inconsistent (bad
-// kind byte, sample count disagreeing with the length) is kBadPayload
-// with tenant attribution.
+// kind byte, unknown sample format, sample count × width disagreeing
+// with the length) is kBadPayload with tenant attribution.
 TEST(Wire, InternallyInconsistentPayloadIsRejectedWithAttribution) {
-  // Bad kind byte, correct CRC.
-  std::string payload;
-  payload.push_back(static_cast<char>(9));  // no such FrameKind
-  payload.push_back(static_cast<char>(7));  // tenant_len = 7 LE
-  payload.push_back(static_cast<char>(0));
-  payload += "truck-9";
-  payload.append(8, '\0');  // seq
-  payload.append(4, '\0');  // sample_count = 0
-  std::string bytes(reinterpret_cast<const char*>(fleet::wire::kMagic), 4);
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes.push_back(static_cast<char>((payload.size() >> shift) & 0xFF));
+  const std::uint8_t u16 = static_cast<std::uint8_t>(SampleFormat::kU16);
+  const std::uint8_t f64 = static_cast<std::uint8_t>(SampleFormat::kF64);
+  const std::string cases[] = {
+      HandPayload{.kind = 9}.bytes(),  // no such FrameKind
+      HandPayload{.format = 0, .count = 2, .sample_bytes = 4}.bytes(),
+      HandPayload{.format = 3, .count = 2, .sample_bytes = 4}.bytes(),
+      HandPayload{.format = 0xFF}.bytes(),  // unknown even with no samples
+      HandPayload{.count = 3, .sample_bytes = 4}.bytes(),  // count × 2 > len
+      HandPayload{.count = 2, .sample_bytes = 5}.bytes(),  // count × 2 < len
+      HandPayload{.format = f64, .count = 2, .sample_bytes = 4}.bytes(),
+      HandPayload{.format = u16, .count = 1, .sample_bytes = 8}.bytes(),
+      HandPayload{.count = fleet::wire::kMaxSamples + 1}.bytes(),
+      HandPayload{.cut_to = 1 + 2 + 7 + 8}.bytes(),  // fields cut short
+  };
+  for (const std::string& bytes : cases) {
+    Decoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    const auto events = pump(decoder);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].error, DecodeError::kBadPayload);
+    EXPECT_EQ(events[0].claimed_tenant, "truck-9");
+    EXPECT_EQ(decoder.stats().errors, 1u);
+    EXPECT_EQ(decoder.stats().frames_decoded, 0u);
   }
-  bytes += payload;
-  const std::uint32_t crc = io::crc32(payload);
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes.push_back(static_cast<char>((crc >> shift) & 0xFF));
-  }
-
+  // A consistent hand-built payload decodes, so each case above fails on
+  // the field it names and not on how HandPayload lays out the rest.
+  const std::string ok = HandPayload{.count = 2, .sample_bytes = 4}.bytes();
   Decoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
-  const auto events = pump(decoder);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].error, DecodeError::kBadPayload);
-  EXPECT_EQ(events[0].claimed_tenant, "truck-9");
-  EXPECT_EQ(decoder.stats().frames_decoded, 0u);
+  decoder.feed(ok.data(), ok.size());
+  EXPECT_EQ(count_frames(pump(decoder)), 1u);
 }
 
 TEST(Wire, ChunkedDeliveryMatchesSingleFeed) {
-  std::string stream;
-  std::vector<Frame> frames;
-  for (std::uint64_t seq = 0; seq < 12; ++seq) {
-    frames.push_back(make_frame("truck-5", seq, 7));
-    stream += fleet::wire::encode(frames.back());
+  for (const SampleFormat format : kFormats) {
+    SCOPED_TRACE(format_name(format));
+    std::string stream;
+    std::vector<Frame> frames;
+    for (std::uint64_t seq = 0; seq < 12; ++seq) {
+      frames.push_back(make_frame_as(format, "truck-5", seq, 7));
+      stream += fleet::wire::encode(frames.back());
+    }
+    for (const std::size_t chunk : {1u, 3u, 13u, 64u}) {
+      Decoder decoder;
+      std::vector<Decoder::Event> events;
+      for (std::size_t off = 0; off < stream.size(); off += chunk) {
+        const std::size_t n = std::min(chunk, stream.size() - off);
+        decoder.feed(stream.data() + off, n);
+        for (auto ev = decoder.next(); ev.has_value(); ev = decoder.next()) {
+          events.push_back(std::move(*ev));
+        }
+      }
+      ASSERT_EQ(events.size(), frames.size()) << "chunk=" << chunk;
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        ASSERT_TRUE(events[i].frame.has_value());
+        EXPECT_TRUE(frames_equal(*events[i].frame, frames[i]));
+      }
+      EXPECT_EQ(decoder.stats().errors, 0u);
+      EXPECT_EQ(decoder.stats().f64_frames,
+                format == SampleFormat::kF64 ? frames.size() : 0u);
+    }
   }
-  for (const std::size_t chunk : {1u, 3u, 13u, 64u}) {
+}
+
+// The lossless rule: a frame ships as u16 exactly when every sample is an
+// integral code in [0, 65535] that converts back to the same bit pattern.
+TEST(Wire, LosslessCodesShipAsU16) {
+  Frame f = make_frame("truck-6", 0, 0);
+  f.samples = {0.0, 65535.0};
+  EXPECT_EQ(round_trip_format(f), SampleFormat::kU16);
+  EXPECT_EQ(round_trip_format(make_code_frame("truck-6", 1, 6000)),
+            SampleFormat::kU16);
+}
+
+TEST(Wire, NonCodeSamplesFallBackToF64) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double odd : {65536.0, -1.0, 0.5, -0.0,
+                           std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf}) {
+    SCOPED_TRACE(odd);
+    Frame f = make_code_frame("truck-6", 0, 4);
+    f.samples[2] = odd;
+    EXPECT_EQ(round_trip_format(f), SampleFormat::kF64);
+  }
+  // The check runs to the last sample: one fractional code at the very
+  // end of a long integral trace still forces f64.
+  Frame tail = make_code_frame("truck-6", 2, 6000);
+  tail.samples.back() += 0.25;
+  EXPECT_EQ(round_trip_format(tail), SampleFormat::kF64);
+}
+
+// A CRC-valid payload whose tenant field is out of bounds is kBadPayload
+// with no attribution: there is no tenant to quarantine.
+TEST(Wire, PayloadWithoutValidTenantIsRejectedUnattributed) {
+  const auto over = fleet::wire::kMaxTenantBytes + 1;
+  const std::string cases[] = {
+      HandPayload{.tenant = ""}.bytes(),
+      HandPayload{.tenant = std::string(over, 't')}.bytes(),
+      HandPayload{.tenant_len = 40}.bytes(),  // runs past the payload
+      HandPayload{.cut_to = 2}.bytes(),       // no room for a tenant length
+  };
+  for (const std::string& bytes : cases) {
     Decoder decoder;
-    std::vector<Decoder::Event> events;
-    for (std::size_t off = 0; off < stream.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, stream.size() - off);
-      decoder.feed(stream.data() + off, n);
-      for (auto ev = decoder.next(); ev.has_value(); ev = decoder.next()) {
-        events.push_back(std::move(*ev));
+    decoder.feed(bytes.data(), bytes.size());
+    const auto events = pump(decoder);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].error, DecodeError::kBadPayload);
+    EXPECT_TRUE(events[0].claimed_tenant.empty());
+  }
+}
+
+// Garbage shorter than a frame header is rejected as soon as it disagrees
+// with the magic, without waiting for more bytes; a partial magic waits.
+TEST(Wire, ShortGarbageIsRejectedBeforeAFullHeader) {
+  Decoder decoder;
+  decoder.feed("\x01\x02\x03", 3);
+  auto events = pump(decoder);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].error, DecodeError::kBadMagic);
+  EXPECT_EQ(decoder.stats().resyncs, 1u);
+  EXPECT_EQ(decoder.stats().bytes_skipped, 3u);
+  EXPECT_EQ(decoder.buffered(), 0u);
+
+  decoder.feed(fleet::wire::kMagic, 2);
+  EXPECT_TRUE(pump(decoder).empty());
+  EXPECT_EQ(decoder.buffered(), 2u);
+}
+
+// VPW1 is not decoded: its chunk is skipped in one counted resync and the
+// VPW2 frame after it decodes.
+TEST(Wire, Vpw1ChunkResyncsAsBadMagic) {
+  const Frame old = make_frame("truck-8", 0, 3);
+  std::string payload;
+  payload.push_back(static_cast<char>(FrameKind::kData));
+  payload.push_back(static_cast<char>(old.tenant.size()));
+  payload.push_back(static_cast<char>(0));
+  payload += old.tenant;
+  payload.append(8, '\0');  // seq 0
+  payload.push_back(static_cast<char>(old.samples.size()));
+  payload.append(3, '\0');
+  for (const double s : old.samples) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &s, sizeof(bits));
+    for (int shift = 0; shift < 64; shift += 8) {
+      payload.push_back(static_cast<char>((bits >> shift) & 0xFF));
+    }
+  }
+  const unsigned char vpw1[4] = {'V', 'P', 'W', '1'};
+  const std::string v1 = wrap_payload(payload, vpw1);
+  const Frame next = make_code_frame("truck-8", 1, 3);
+  const std::string v2 = fleet::wire::encode(next);
+
+  Decoder decoder;
+  decoder.feed(v1.data(), v1.size());
+  decoder.feed(v2.data(), v2.size());
+  const auto events = pump(decoder);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].error, DecodeError::kBadMagic);
+  EXPECT_TRUE(events[0].claimed_tenant.empty());
+  ASSERT_TRUE(events[1].frame.has_value());
+  EXPECT_TRUE(frames_equal(*events[1].frame, next));
+  EXPECT_EQ(decoder.stats().resyncs, 1u);
+  EXPECT_EQ(decoder.stats().errors, 1u);
+  EXPECT_EQ(decoder.stats().bytes_skipped, v1.size());
+  EXPECT_EQ(decoder.stats().frames_decoded, 1u);
+}
+
+// Real traffic: simulated captures from both vehicles, clean and under
+// the harsh fault profile, come back bit-identical; clean captures are
+// integral ADC codes and all take u16.
+TEST(Wire, VehicleCapturesRoundTripBitIdentical) {
+  for (const bool vehicle_a : {true, false}) {
+    sim::Vehicle vehicle(vehicle_a ? sim::vehicle_a() : sim::vehicle_b(), 5);
+    const analog::Environment env = analog::Environment::reference();
+    faults::FaultInjector harsh(
+        faults::harsh_environment(),
+        static_cast<double>(vehicle.config().adc.max_code()), 5);
+    for (const bool faulted : {false, true}) {
+      SCOPED_TRACE(std::string(vehicle_a ? "A" : "B") +
+                   (faulted ? " harsh" : " clean"));
+      Decoder decoder;
+      std::uint64_t seq = 0;
+      for (const sim::Capture& cap : vehicle.capture(60, env)) {
+        Frame f = make_frame("truck-a", seq++, 0);
+        f.samples = faulted ? harsh.apply(cap.codes) : cap.codes;
+        const std::string bytes = fleet::wire::encode(f);
+        decoder.feed(bytes.data(), bytes.size());
+        const auto events = pump(decoder);
+        ASSERT_EQ(events.size(), 1u);
+        ASSERT_TRUE(events[0].frame.has_value());
+        EXPECT_TRUE(frames_equal(*events[0].frame, f));
+      }
+      EXPECT_EQ(decoder.stats().frames_decoded, 60u);
+      EXPECT_EQ(decoder.stats().errors, 0u);
+      // Harsh faults resample and add fractional offsets, so that stream
+      // exercises the f64 fallback too.
+      if (faulted) {
+        EXPECT_GT(decoder.stats().f64_frames, 0u);
+      } else {
+        EXPECT_EQ(decoder.stats().f64_frames, 0u);
       }
     }
-    ASSERT_EQ(events.size(), frames.size()) << "chunk=" << chunk;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      ASSERT_TRUE(events[i].frame.has_value());
-      EXPECT_TRUE(frames_equal(*events[i].frame, frames[i]));
-    }
-    EXPECT_EQ(decoder.stats().errors, 0u);
   }
 }
 

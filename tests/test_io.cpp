@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -238,6 +239,36 @@ TEST(Checksum, MatchesTheStandardCheckValue) {
   EXPECT_FALSE(io::parse_crc32_hex("deadbee", &parsed));
   EXPECT_FALSE(io::parse_crc32_hex("deadbeefs", &parsed));
   EXPECT_FALSE(io::parse_crc32_hex("deadbeeg", &parsed));
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the oracle the
+// table-driven implementation must reproduce.
+std::uint32_t bitwise_crc32(const unsigned char* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  stats::Rng rng(17);
+  std::vector<unsigned char> bytes(48 * 1024 + 8);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.below(256));
+  // Every tail length of the 8-byte stride, at every misalignment.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(io::crc32(bytes.data() + offset, len),
+                bitwise_crc32(bytes.data() + offset, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+  const std::size_t big = 48 * 1024;
+  EXPECT_EQ(io::crc32(bytes.data() + 3, big),
+            bitwise_crc32(bytes.data() + 3, big));
 }
 
 TEST(ModelStore, SavedFileCarriesCrcFooter) {

@@ -424,7 +424,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fs.frames_shed),
               static_cast<unsigned long long>(fs.admission_rejected));
   std::printf("wire:  %llu frames, %llu errors (%llu unattributed), "
-              "%llu dup, %llu gaps; %llu conns, %llu bytes, %llu resyncs\n",
+              "%llu dup, %llu gaps; %llu conns, %llu bytes, %llu resyncs, "
+              "%llu f64 frames\n",
               static_cast<unsigned long long>(fs.wire_frames),
               static_cast<unsigned long long>(fs.wire_errors),
               static_cast<unsigned long long>(fs.wire_unattributed_errors),
@@ -432,7 +433,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fs.wire_gaps),
               static_cast<unsigned long long>(is.connections_accepted),
               static_cast<unsigned long long>(is.bytes_received),
-              static_cast<unsigned long long>(is.resyncs));
+              static_cast<unsigned long long>(is.resyncs),
+              static_cast<unsigned long long>(is.f64_frames));
   std::printf("lifecycle: %llu quarantines, %llu revivals, %llu evictions\n",
               static_cast<unsigned long long>(fs.quarantines),
               static_cast<unsigned long long>(fs.revivals),
