@@ -48,8 +48,7 @@ bool ClockSkewIds::train(const std::vector<TimedMessage>& messages,
     const double denom =
         static_cast<double>(n) * sum_kk - sum_k * sum_k;
     // Exact-zero guard against division by zero, not a tolerance test.
-    // vprofile-lint: allow(float-eq)
-    p.skew = (denom != 0.0)
+    p.skew = (std::fpclassify(denom) != FP_ZERO)
                  ? (static_cast<double>(n) * sum_ko - sum_k * sum_o) / denom
                  : 0.0;
 

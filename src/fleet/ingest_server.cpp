@@ -16,11 +16,17 @@
 
 namespace fleet {
 
+namespace {
+
+/// Per-connection read deadline, ms.  An idle-but-alive uplink is fine
+/// (the read simply times out and retries); the deadline only bounds how
+/// long shutdown and a half-dead peer can hold the handler.
+constexpr std::uint32_t kReadTimeoutMs = 2000;
+
+}  // namespace
+
 IngestServer::IngestServer(FleetService* service, IngestServerConfig config)
-    : service_(service), config_(config) {
-  if (config_.max_connections == 0) config_.max_connections = 1;
-  if (config_.read_timeout_ms < 100) config_.read_timeout_ms = 100;
-}
+    : service_(service), config_(config) {}
 
 IngestServer::~IngestServer() { stop(); }
 
@@ -129,7 +135,7 @@ void IngestServer::accept_loop() {
 
     std::lock_guard<std::mutex> lock(mu_);
     reap_finished_locked();
-    if (connections_.size() >= config_.max_connections) {
+    if (connections_.size() >= kMaxIngestConnections) {
       ++stats_.connections_refused;
       ::close(client);
       continue;
@@ -148,8 +154,8 @@ void IngestServer::accept_loop() {
 
 void IngestServer::serve_connection(int client_fd) {
   timeval tv{};
-  tv.tv_sec = static_cast<time_t>(config_.read_timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((config_.read_timeout_ms % 1000) * 1000);
+  tv.tv_sec = static_cast<time_t>(kReadTimeoutMs / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((kReadTimeoutMs % 1000) * 1000);
   ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
   wire::Decoder decoder;

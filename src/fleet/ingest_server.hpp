@@ -26,13 +26,10 @@ class FleetService;
 struct IngestServerConfig {
   /// 0 = ephemeral; see port().
   std::uint16_t port = 0;
-  /// Concurrent connections; further peers are refused at accept.
-  std::size_t max_connections = 32;
-  /// Per-connection read deadline, ms.  An idle-but-alive uplink is fine
-  /// (the read simply times out and retries); the deadline only bounds
-  /// how long shutdown and a half-dead peer can hold the handler.
-  std::uint32_t read_timeout_ms = 2000;
 };
+
+/// Concurrent connections; further peers are refused at accept.
+inline constexpr std::size_t kMaxIngestConnections = 32;
 
 struct IngestServerStats {
   std::uint64_t connections_accepted = 0;

@@ -101,8 +101,8 @@ std::optional<RidgedCholesky> factorize_with_ridge(const Matrix& a,
       return RidgedCholesky{std::move(*f), lambda};
     }
     // First retry replaces the exact sentinel 0.0, later ones scale it.
-    // vprofile-lint: allow(float-eq)
-    lambda = (lambda == 0.0) ? initial_ridge : lambda * 10.0;
+    lambda = std::fpclassify(lambda) == FP_ZERO ? initial_ridge
+                                                : lambda * 10.0;
   }
   return std::nullopt;
 }

@@ -73,8 +73,7 @@ Matrix Matrix::operator*(const Matrix& other) const {
       const double a = at(r, k);
       // Exact-zero skip: sparse rows contribute nothing; any nonzero,
       // however small, must still be accumulated.
-      // vprofile-lint: allow(float-eq)
-      if (a == 0.0) continue;
+      if (std::fpclassify(a) == FP_ZERO) continue;
       for (std::size_t c = 0; c < other.cols_; ++c) {
         out.at(r, c) += a * other.at(k, c);
       }

@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -13,27 +12,12 @@ namespace obs {
 
 namespace {
 
-/// Exact-double JSON scalar: %.17g round-trips every finite double bit-
-/// for-bit through strtod (the replay contract).  Non-finite values are
-/// not valid JSON numbers, so they render as quoted strings; readers use
-/// io::json::flexible_number.
-std::string json_double(double v) {
-  if (std::isnan(v)) return "\"nan\"";
-  if (std::isinf(v)) return std::signbit(v) ? "\"-inf\"" : "\"inf\"";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
-
-std::string json_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return std::string(buf);
-}
-
 /// Spans folded into one bundle; a cap, not a window choice — the tracer
 /// ring already keeps only recent spans.
 constexpr std::size_t kMaxBundleSpans = 64;
+
+/// Completed bundle JSONs kept in memory for bundle_json() / statusz.
+constexpr std::size_t kRetainedBundles = 8;
 
 }  // namespace
 
@@ -49,8 +33,6 @@ const char* to_string(IncidentCause cause) {
       return "watchdog-restart";
     case IncidentCause::kRetrainRollback:
       return "retrain-rollback";
-    case IncidentCause::kOverloadShed:
-      return "overload-shed";
     case IncidentCause::kOperator:
       return "operator";
   }
@@ -185,7 +167,7 @@ void FlightRecorder::finalize_incident() {
     std::lock_guard<std::mutex> lock(retained_mu_);
     summaries_.push_back(summary);
     retained_.emplace_back(summary.id, std::move(json));
-    while (retained_.size() > config_.retain_bundles) retained_.pop_front();
+    while (retained_.size() > kRetainedBundles) retained_.pop_front();
   }
   pre_n_ = 0;
   post_n_ = 0;

@@ -6,9 +6,9 @@
 // ordered sink) stores one EvidenceRecord per handled frame into a
 // fixed-capacity ring — a struct copy plus a relaxed index bump, nothing
 // else on the hot path.  Any thread may request a trigger (anomalous
-// verdict, drift alarm, watchdog restart, retrain rollback, overload
-// shed, operator signal); the request is a lock-free arm of a one-slot
-// pending cell.  The *writer* consumes it at its next record() call:
+// verdict, drift alarm, watchdog restart, retrain rollback, operator
+// signal); the request is a lock-free arm of a one-slot pending cell.
+// The *writer* consumes it at its next record() call:
 // the pre-trigger window is frozen out of the ring, a bounded
 // post-trigger window is captured as the next records arrive, and the
 // completed incident is emitted as a byte-stable JSON bundle (schema
@@ -69,11 +69,10 @@ enum class IncidentCause : std::uint8_t {
   kDriftAlarm = 2,       ///< Page–Hinkley sentinel latched
   kWatchdogRestart = 3,  ///< stalled pipeline was restarted
   kRetrainRollback = 4,  ///< candidate model failed validation
-  kOverloadShed = 5,     ///< governor began decimating intake
-  kOperator = 6,         ///< external request (signal, status endpoint)
+  kOperator = 5,         ///< external request (signal, status endpoint)
 };
 
-inline constexpr std::size_t kNumIncidentCauses = 7;
+inline constexpr std::size_t kNumIncidentCauses = 6;
 
 const char* to_string(IncidentCause cause);
 
@@ -124,8 +123,6 @@ struct FlightRecorderConfig {
   std::size_t post_trigger = 16;
   /// Bundles emitted before further triggers are suppressed (counted).
   std::size_t max_incidents = 32;
-  /// Completed bundle JSONs kept in memory for bundle_json() / statusz.
-  std::size_t retain_bundles = 8;
   /// Bundle files (`INCIDENT_<id>.json`) land here; "" = in-memory only.
   std::string incident_dir;
   /// Provenance stamp for every bundle.  Supply a fixed manifest for
@@ -190,7 +187,8 @@ class FlightRecorder {
 
   /// Every emitted incident, oldest first (bounded by max_incidents).
   std::vector<IncidentSummary> incidents() const;
-  /// Retained bundle JSON by incident id; "" when unknown or evicted.
+  /// Retained bundle JSON by incident id; "" when unknown or evicted
+  /// (only the newest few stay in memory).
   std::string bundle_json(std::uint64_t id) const;
 
   const FlightRecorderConfig& config() const { return config_; }

@@ -1,6 +1,8 @@
 #include "obs/manifest.hpp"
 
 #include <chrono>
+#include <cinttypes>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <ctime>
@@ -46,6 +48,20 @@ std::string json_quote(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+std::string json_double(double v) {
+  if (std::isnan(v)) return "\"nan\"";
+  if (std::isinf(v)) return std::signbit(v) ? "\"-inf\"" : "\"inf\"";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string json_u64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  return buf;
 }
 
 RunManifest RunManifest::create(std::string tool_name) {

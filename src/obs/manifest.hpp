@@ -19,6 +19,15 @@ namespace obs {
 /// bench reporter so everybody escapes the same way.
 std::string json_quote(const std::string& s);
 
+/// Exact-double JSON scalar: %.17g round-trips every finite double bit
+/// for bit through strtod (the incident replay contract).  Non-finite
+/// values are not valid JSON numbers, so they render as quoted strings
+/// ("nan", "inf", "-inf"); readers use io::json::flexible_number.
+std::string json_double(double v);
+
+/// Decimal JSON rendering of an unsigned 64-bit count.
+std::string json_u64(std::uint64_t v);
+
 struct RunManifest {
   std::string tool;          ///< binary / logical run name
   std::string git_describe;  ///< from `git describe` at configure time

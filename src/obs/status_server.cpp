@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "obs/export.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 
 namespace obs {
@@ -67,6 +69,17 @@ void StatusServer::bind_metrics(MetricsRegistry* registry) {
   if (registry != nullptr) {
     requests_counter_ = registry->counter("status_requests_total");
   }
+}
+
+void StatusServer::route_metrics(MetricsRegistry& registry,
+                                 const RunManifest& manifest) {
+  bind_metrics(&registry);
+  route("/metrics", [&registry, &manifest](const std::string&) {
+    StatusResponse resp;
+    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    resp.body = to_prometheus(registry.samples(), &manifest);
+    return resp;
+  });
 }
 
 bool StatusServer::start(std::uint16_t port, std::string* error) {

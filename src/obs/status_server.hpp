@@ -26,6 +26,7 @@ namespace obs {
 
 class Counter;
 class MetricsRegistry;
+struct RunManifest;
 
 struct StatusResponse {
   int status = 200;
@@ -52,6 +53,11 @@ class StatusServer {
   /// Counts served requests as status_requests_total.  Call before
   /// start().
   void bind_metrics(MetricsRegistry* registry);
+
+  /// Serves `registry` on /metrics as Prometheus text stamped with
+  /// `manifest`, and counts requests into it (bind_metrics).  Both must
+  /// outlive the server.  Call before start().
+  void route_metrics(MetricsRegistry& registry, const RunManifest& manifest);
 
   /// Per-connection read/write deadline (slow-client guard), applied to
   /// both SO_RCVTIMEO and SO_SNDTIMEO.  Call before start(); values

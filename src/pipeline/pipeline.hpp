@@ -239,7 +239,6 @@ class DetectionPipeline {
   CountersSnapshot counters() const {
     return core_.counters(queue_.high_watermark());
   }
-  std::size_t queue_depth() const { return queue_.size(); }
 
   const PipelineConfig& config() const { return core_.config(); }
 

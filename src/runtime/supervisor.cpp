@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +15,12 @@ namespace runtime {
 namespace {
 
 using vprofile::fnv1a_u64;
+
+/// 1-in-N holdout split: every N-th gate-eligible benign frame is held
+/// back for the validation window INSTEAD of being offered to the
+/// candidate, keeping validation disjoint from the update stream (a
+/// window the candidate has already absorbed cannot expose it).
+constexpr std::uint64_t kValidationHoldoutStride = 4;
 
 /// One code per way a frame can end, for the fingerprint.
 std::uint64_t outcome_code(const pipeline::FrameResult& r) {
@@ -81,29 +84,6 @@ const char* const* extract_error_name_table() {
   return table.data();
 }
 
-/// Shortest round-trippable rendering; non-finite values become quoted
-/// strings ("inf"/"-inf"/"nan") so bundle context stays valid JSON — the
-/// same convention the flight recorder uses for evidence features.
-void append_json_double(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "\"nan\"";
-    return;
-  }
-  if (std::isinf(v)) {
-    out += std::signbit(v) ? "\"-inf\"" : "\"inf\"";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_json_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
 /// Flattens one handled result into the recorder's fixed-size row.
 obs::EvidenceRecord make_evidence(const pipeline::FrameResult& r,
                                   std::uint64_t tick_ns,
@@ -153,23 +133,17 @@ Supervisor::Supervisor(vprofile::Model model, SupervisorConfig config,
         "Supervisor: worker stall plans are modelled in lockstep only");
   }
   if (config_.online_update) config_.pipeline.keep_edge_set = true;
-  if (config_.validation_holdout_stride == 0) {
-    config_.validation_holdout_stride = 1;
-  }
   if (!config_.checkpoint_dir.empty()) {
     store_.emplace(config_.checkpoint_dir);
   }
   if (obs::MetricsRegistry* reg = config_.pipeline.metrics) {
     watchdog_.bind_metrics(reg);
-    instruments_.decimated = reg->counter("runtime_frames_decimated_total");
     instruments_.promotions = reg->counter("runtime_promotions_total");
     instruments_.rollbacks = reg->counter("runtime_rollbacks_total");
     instruments_.checkpoints = reg->counter("runtime_checkpoints_total");
     instruments_.drift_alarms = reg->counter("runtime_drift_alarms_total");
     // vprofile-lint: allow(metric-name) — enum-valued state, unitless
     instruments_.health = reg->gauge("runtime_health_state");
-    // vprofile-lint: allow(metric-name) — boolean gauge, unitless
-    instruments_.governor_active = reg->gauge("runtime_governor_active");
   }
   if (config_.flight_recorder) {
     obs::FlightRecorderConfig rc = config_.recorder;
@@ -239,7 +213,7 @@ void Supervisor::handle(pipeline::FrameResult&& result) {
         // Holdout split: window frames and update frames are disjoint, so
         // validation exercises data the candidate has never absorbed.
         const bool held_out =
-            holdout_tick_++ % config_.validation_holdout_stride == 0;
+            holdout_tick_++ % kValidationHoldoutStride == 0;
         if (held_out) {
           validation_window_.push_back(*result.edge_set);
           while (validation_window_.size() > config_.validation_window) {
@@ -321,34 +295,7 @@ std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return std::nullopt;
-    ++stats_.frames_offered;
-    if (config_.governor_high_water != 0) {
-      const std::size_t depth =
-          pipe_ != nullptr ? pipe_->queue_depth() : backlog_.size();
-      if (!governor_active_ && depth >= config_.governor_high_water) {
-        governor_active_ = true;
-        if (recorder_ != nullptr) {
-          recorder_->request_trigger(obs::IncidentCause::kOverloadShed,
-                                     stats_.frames_offered,
-                                     "governor high-water crossed");
-        }
-      } else if (governor_active_ && depth <= config_.governor_low_water) {
-        governor_active_ = false;
-      }
-      if (instruments_.governor_active != nullptr) {
-        instruments_.governor_active->set(governor_active_ ? 1 : 0);
-      }
-      if (governor_active_) {
-        const std::uint64_t tick = decimation_counter_++;
-        if (config_.decimation_stride == 0 ||
-            tick % config_.decimation_stride != 0) {
-          ++stats_.frames_decimated;
-          if (instruments_.decimated != nullptr) instruments_.decimated->add();
-          return std::nullopt;
-        }
-      }
-    }
-    // Every forwarded frame claims exactly one global index and produces
+    // Every accepted frame claims exactly one global index and produces
     // exactly one ordered result (scored, worker_error, or dropped).
     global = stats_.frames_submitted++;
     if (config_.lockstep) score_now = intake_locked(global, trace);
@@ -579,65 +526,61 @@ std::string Supervisor::context_json() const {
   }
   const vprofile::DetectionConfig& dc = config_.pipeline.detection;
   std::string out = "{\"detection\":{\"margin\":";
-  append_json_double(out, dc.margin);
+  out += obs::json_double(dc.margin);
   out += ",\"saturation_code\":";
-  append_json_double(out, dc.saturation_code);
+  out += obs::json_double(dc.saturation_code);
   out += ",\"dead_code\":";
-  append_json_double(out, dc.dead_code);
+  out += obs::json_double(dc.dead_code);
   out += ",\"degraded_fraction\":";
-  append_json_double(out, dc.degraded_fraction);
+  out += obs::json_double(dc.degraded_fraction);
   out += ",\"flat_run_min\":";
-  append_json_u64(out, dc.flat_run_min);
+  out += obs::json_u64(dc.flat_run_min);
   out += "},\"counters\":{\"submitted\":";
-  append_json_u64(out, counters.submitted.value());
+  out += obs::json_u64(counters.submitted.value());
   out += ",\"completed\":";
-  append_json_u64(out, counters.completed.value());
+  out += obs::json_u64(counters.completed.value());
   out += ",\"dropped\":";
-  append_json_u64(out, counters.dropped.value());
+  out += obs::json_u64(counters.dropped.value());
   out += ",\"worker_errors\":";
-  append_json_u64(out, counters.worker_errors);
+  out += obs::json_u64(counters.worker_errors);
   out += ",\"extract_errors\":[";
   for (std::size_t i = 0; i < counters.extract_errors.size(); ++i) {
     if (i != 0) out += ',';
-    append_json_u64(out, counters.extract_errors[i]);
+    out += obs::json_u64(counters.extract_errors[i]);
   }
   out += "],\"verdicts\":[";
   for (std::size_t i = 0; i < counters.verdicts.size(); ++i) {
     if (i != 0) out += ',';
-    append_json_u64(out, counters.verdicts[i]);
+    out += obs::json_u64(counters.verdicts[i]);
   }
   out += "]},\"supervisor\":{\"health\":\"";
   out += to_string(health_now);
-  out += "\",\"frames_offered\":";
-  append_json_u64(out, s.frames_offered);
-  out += ",\"frames_submitted\":";
-  append_json_u64(out, s.frames_submitted);
-  out += ",\"frames_decimated\":";
-  append_json_u64(out, s.frames_decimated);
+  out += "\",\"frames_submitted\":";
+  out += obs::json_u64(s.frames_submitted);
   out += ",\"frames_handled\":";
-  append_json_u64(out, s.frames_handled);
+  out += obs::json_u64(s.frames_handled);
   out += ",\"restarts\":";
-  append_json_u64(out, s.restarts);
+  out += obs::json_u64(s.restarts);
   out += ",\"stalls_detected\":";
-  append_json_u64(out, s.stalls_detected);
+  out += obs::json_u64(s.stalls_detected);
   out += ",\"drift_alarms\":";
-  append_json_u64(out, s.drift_alarms);
+  out += obs::json_u64(s.drift_alarms);
   out += ",\"candidates_started\":";
-  append_json_u64(out, s.candidates_started);
+  out += obs::json_u64(s.candidates_started);
   out += ",\"promotions\":";
-  append_json_u64(out, s.promotions);
+  out += obs::json_u64(s.promotions);
   out += ",\"rollbacks\":";
-  append_json_u64(out, s.rollbacks);
+  out += obs::json_u64(s.rollbacks);
   out += ",\"checkpoints_committed\":";
-  append_json_u64(out, s.checkpoints_committed);
+  out += obs::json_u64(s.checkpoints_committed);
   out += ",\"gate\":{\"accepted\":";
-  append_json_u64(out, s.gate.accepted);
+  out += obs::json_u64(s.gate.accepted);
   out += ",\"rejected_verdict\":";
-  append_json_u64(out, s.gate.rejected_verdict);
+  out += obs::json_u64(s.gate.rejected_verdict);
   out += ",\"rejected_margin\":";
-  append_json_u64(out, s.gate.rejected_margin);
+  out += obs::json_u64(s.gate.rejected_margin);
   out += ",\"refused_by_updater\":";
-  append_json_u64(out, s.gate.refused_by_updater);
+  out += obs::json_u64(s.gate.refused_by_updater);
   out += "}}}";
   return out;
 }
@@ -664,7 +607,12 @@ pipeline::CountersSnapshot Supervisor::pipeline_counters() const {
 
 std::uint64_t Supervisor::fingerprint() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t h = fnv1a_u64(fingerprint_, stats_.frames_decimated);
+  // The literal 0 holds the slot of the shed-frame count this fold once
+  // carried, keeping fingerprints bit-identical with earlier builds and
+  // with the recomputations in bench/e2e/traffic.cpp
+  // (oracle_tenant_fingerprint) and tests/test_runtime.cpp (fold), which
+  // append three trailing zeros.
+  std::uint64_t h = fnv1a_u64(fingerprint_, 0);
   h = fnv1a_u64(h, stats_.promotions);
   h = fnv1a_u64(h, stats_.rollbacks);
   return h;

@@ -19,9 +19,9 @@
 //  * Checkpointing — the live model is committed to a CheckpointStore
 //    periodically, at promotion, and at shutdown; load() recovers to
 //    last-good when the latest checkpoint is corrupt.
-//  * Overload governor — when the queue crosses the high-water mark the
-//    supervisor sheds load deterministically (keep 1 of every
-//    decimation_stride frames) until it falls below the low-water mark.
+//
+// The supervisor sheds no load: every frame submit() accepts yields one
+// ordered result (scored, worker_error, or dropped by a full queue).
 //
 // Threading contract: one producer thread calls submit()/poll()/finish().
 // Free-running, results are handled on DetectionPipeline worker threads
@@ -32,7 +32,7 @@
 // (model, config, input stream): the soak harness's bit-identical-
 // fingerprint guarantee.  A planned stall (lockstep only) parks its frame
 // unscored; later frames wait in a FIFO backlog (bounded by
-// queue_capacity, and the depth the governor and watchdog see) until a
+// queue_capacity, and the pending work the watchdog sees) until a
 // watchdog restart or finish() emits the parked frame as a worker_error
 // and scores the backlog in order.
 #pragma once
@@ -84,22 +84,11 @@ struct SupervisorConfig {
   bool online_update = true;
   /// Gate-accepted edge sets per retrain candidate.
   std::size_t retrain_batch = 128;
-  /// Held-back recent benign frames the candidate must re-classify.
+  /// Held-back recent benign frames the candidate must re-classify
+  /// (one in kValidationHoldoutStride, see supervisor.cpp).
   std::size_t validation_window = 64;
-  /// 1-in-N holdout split: every N-th gate-eligible benign frame is held
-  /// back for the validation window INSTEAD of being offered to the
-  /// candidate, keeping validation disjoint from the update stream (a
-  /// window the candidate has already absorbed cannot expose it).  0 is
-  /// normalized to 1; 1 holds back everything, starving the candidate.
-  std::size_t validation_holdout_stride = 4;
   /// Candidate anomalies allowed on that window before rollback.
   std::size_t validation_max_regressions = 0;
-
-  /// Overload governor; high_water 0 disables.  While active, only every
-  /// decimation_stride-th offered frame is forwarded.
-  std::size_t governor_high_water = 0;
-  std::size_t governor_low_water = 0;
-  std::size_t decimation_stride = 2;
 
   /// Deterministic mode: submit() scores the frame inline and hands its
   /// result to the sink before returning (see the threading contract).
@@ -115,16 +104,13 @@ struct SupervisorConfig {
   /// the verdict/extract-error name tables, the context callback, and —
   /// unless `recorder` already sets them — the pipeline's metrics
   /// registry and tracer.  Triggers: anomalous/degraded verdicts, drift
-  /// alarms, watchdog restarts, retrain rollbacks, governor activation,
-  /// and trigger_incident().
+  /// alarms, watchdog restarts, retrain rollbacks and trigger_incident().
   bool flight_recorder = false;
   obs::FlightRecorderConfig recorder;
 };
 
 struct SupervisorStats {
-  std::uint64_t frames_offered = 0;    // submit() calls
-  std::uint64_t frames_submitted = 0;  // forwarded to the pipeline
-  std::uint64_t frames_decimated = 0;  // shed by the governor
+  std::uint64_t frames_submitted = 0;  // accepted by submit()
   std::uint64_t frames_handled = 0;    // results seen (ordered)
   std::uint64_t worker_errors = 0;
   std::uint64_t restarts = 0;
@@ -152,7 +138,7 @@ class Supervisor {
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Offers one trace.  Returns the frame's global index, or std::nullopt
-  /// when the governor shed it or intake has finished.  Single producer.
+  /// when intake has finished.  Single producer.
   std::optional<std::uint64_t> submit(dsp::Trace trace);
 
   /// Supervision tick on the caller's clock (virtual or wall).  Runs the
@@ -178,7 +164,7 @@ class Supervisor {
   /// Aggregated pipeline counters across every restart generation.
   pipeline::CountersSnapshot pipeline_counters() const;
   /// Order-exact digest of every handled result (verdict, distance bits)
-  /// plus the shed-frame count — the soak harness's equivalence check.
+  /// plus the lifecycle counts — the soak harness's equivalence check.
   std::uint64_t fingerprint() const;
 
  private:
@@ -235,8 +221,6 @@ class Supervisor {
   std::uint64_t fingerprint_ = vprofile::kFnv1aOffset;
   HealthState health_ = HealthState::kHealthy;
   bool finished_ = false;
-  bool governor_active_ = false;
-  std::uint64_t decimation_counter_ = 0;
 
   /// Retrain candidate (unique_ptr: GatedUpdater keeps a stable Model*).
   std::unique_ptr<vprofile::Model> candidate_;
@@ -251,13 +235,11 @@ class Supervisor {
   vprofile::GatedUpdateStats gate_accum_;  // completed candidates' gate stats
 
   struct Instruments {
-    obs::Counter* decimated = nullptr;
     obs::Counter* promotions = nullptr;
     obs::Counter* rollbacks = nullptr;
     obs::Counter* checkpoints = nullptr;
     obs::Counter* drift_alarms = nullptr;
     obs::Gauge* health = nullptr;
-    obs::Gauge* governor_active = nullptr;
   } instruments_;
 };
 

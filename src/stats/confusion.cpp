@@ -1,5 +1,6 @@
 #include "stats/confusion.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -35,8 +36,7 @@ double BinaryConfusion::f_score() const {
   const double p = precision();
   const double r = recall();
   // Exact-zero guard against division by zero, not a tolerance test.
-  // vprofile-lint: allow(float-eq)
-  if (p + r == 0.0) return 0.0;
+  if (std::fpclassify(p + r) == FP_ZERO) return 0.0;
   return 2.0 * p * r / (p + r);
 }
 

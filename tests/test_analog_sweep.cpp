@@ -2,6 +2,7 @@
 // hold for every signature/environment combination the experiments visit.
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -49,7 +50,7 @@ TEST_P(TemperatureSweep, DominantLevelMonotoneInTemperature) {
   sig.dominant_temp_coeff_v_per_c = -0.001;
   sig.temperature_coupling = coupling;
 
-  double prev_peak = 1e9;
+  std::optional<double> prev_peak;  // none before the first temperature
   for (double temp : {-10.0, 0.0, 10.0, 25.0, 40.0}) {
     stats::Rng rng(1);
     const auto trace = analog::synthesize_frame_voltage(
@@ -58,10 +59,10 @@ TEST_P(TemperatureSweep, DominantLevelMonotoneInTemperature) {
         quiet_options(),
         rng);
     const double peak = *std::max_element(trace.begin(), trace.end());
-    if (coupling > 0.0) {
-      EXPECT_LT(peak, prev_peak) << "temp " << temp;
-    } else {
-      EXPECT_NEAR(peak, prev_peak == 1e9 ? peak : prev_peak, 1e-9);
+    if (prev_peak && coupling > 0.0) {
+      EXPECT_LT(peak, *prev_peak) << "temp " << temp;
+    } else if (prev_peak) {
+      EXPECT_NEAR(peak, *prev_peak, 1e-9);
     }
     prev_peak = peak;
   }

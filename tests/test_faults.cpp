@@ -1,6 +1,7 @@
 // Unit tests for the analog fault-injection layer (src/faults).
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -72,13 +73,15 @@ TEST(FaultTransformTest, DropoutZeroesOneBoundedRun) {
   const dsp::Trace out = faults::apply_dropout(in, f, rng);
   ASSERT_EQ(out.size(), in.size());
   std::size_t zeros = 0;
-  for (double s : out) zeros += (s == 0.0);
+  for (double s : out) zeros += std::fpclassify(s) == FP_ZERO;
   EXPECT_GE(zeros, f.min_len);
   EXPECT_LE(zeros, f.max_len);
   // The zeroed samples form one contiguous run.
   const auto first = std::find(out.begin(), out.end(), 0.0);
   const auto last = std::find_if(first, out.end(),
-                                 [](double s) { return s != 0.0; });
+                                 [](double s) {
+                                   return std::fpclassify(s) != FP_ZERO;
+                                 });
   EXPECT_EQ(static_cast<std::size_t>(last - first), zeros);
 }
 
@@ -108,7 +111,7 @@ TEST(FaultTransformTest, EmiBurstStaysWithinAdcRange) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_GE(out[i], 0.0);
     EXPECT_LE(out[i], kMaxCode);
-    changed += (out[i] != in[i]);
+    changed += std::not_equal_to<double>{}(out[i], in[i]);
   }
   EXPECT_GE(changed, f.min_len / 2);  // a zero-mean draw can land on 0 rarely
   EXPECT_LE(changed, f.max_len);

@@ -150,36 +150,6 @@ double f(int k) {
 }
 
 // ---------------------------------------------------------------------
-// float-eq
-// ---------------------------------------------------------------------
-
-TEST(LintFloatEq, FlagsEqualityAgainstFloatLiterals) {
-  const std::string src = R"cpp(
-bool f(double x, double y) {
-  if (x == 0.0) return true;
-  if (1.5f != y) return false;
-  return x == 1e-9;
-}
-)cpp";
-  const auto findings = lint_source("fixture.cpp", src);
-  EXPECT_EQ(rules_of(findings),
-            (std::vector<std::string>{"float-eq", "float-eq", "float-eq"}));
-}
-
-TEST(LintFloatEq, CleanOnIntegerComparisonsAndOperators) {
-  const std::string src = R"cpp(
-struct Id {
-  int v = 0;
-  friend bool operator==(Id, Id) = default;
-};
-bool g(int n, std::size_t i, const std::vector<int>& xs) {
-  return n == 0 && i != xs.size() && xs[0] == 0x10;
-}
-)cpp";
-  EXPECT_TRUE(lint_source("fixture.cpp", src).empty());
-}
-
-// ---------------------------------------------------------------------
 // unit-cast
 // ---------------------------------------------------------------------
 
@@ -379,8 +349,8 @@ TEST(LintSimdBoundary, AllowCommentSuppresses) {
 
 TEST(LintSuppression, SameLineAllowSilencesOneRule) {
   const std::string src =
-      "bool z = (x == 0.0);  // vprofile-lint: allow(float-eq)\n"
-      "bool w = (y == 0.0);\n";
+      "int* p = new int;  // vprofile-lint: allow(raw-new-delete)\n"
+      "int* q = new int;\n";
   const auto findings = lint_source("fixture.cpp", src);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 2u);
@@ -395,7 +365,7 @@ TEST(LintSuppression, PrecedingLineAllowCoversNextLine) {
 
 TEST(LintSuppression, AllowOnlySilencesTheNamedRule) {
   const std::string src =
-      "// vprofile-lint: allow(float-eq)\n"
+      "// vprofile-lint: allow(determinism)\n"
       "int* p = new int;\n";
   EXPECT_TRUE(has_rule(lint_source("fixture.cpp", src), "raw-new-delete"));
 }
@@ -631,7 +601,7 @@ TEST(LintConsistency, StaleSuppressionIsFlaggedLiveOneIsNot) {
       {"src/core/mixed.cpp",
        "// vprofile-lint: allow(raw-new-delete)\n"
        "int* p = new int;\n"
-       "// vprofile-lint: allow(float-eq)\n"
+       "// vprofile-lint: allow(determinism)\n"
        "int q = 1;\n"},
   };
   ProjectOptions opts;
@@ -642,7 +612,7 @@ TEST(LintConsistency, StaleSuppressionIsFlaggedLiveOneIsNot) {
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].line, 3u);
   EXPECT_EQ(stale[0].key,
-            "consistency:stale-allow:src/core/mixed.cpp:float-eq");
+            "consistency:stale-allow:src/core/mixed.cpp:determinism");
   // The live suppression masked its finding and is not re-reported.
   EXPECT_TRUE(with_rule(findings, "raw-new-delete").empty());
 }

@@ -1,7 +1,7 @@
 // Unit tests for the runtime supervision layer: watchdog stall/backoff
 // discipline, Page–Hinkley drift sentinel, crash-safe checkpoint store
 // (commit/rotate/corrupt/recover), and the Supervisor's clean-path
-// equivalence, governor decimation, and lifecycle bookkeeping, plus the
+// equivalence, stall backlog, and lifecycle bookkeeping, plus the
 // inline lockstep path's equivalence with the threaded pipeline and the
 // sequential oracle.  The deterministic end-to-end recovery scenarios
 // live in test_runtime_soak.
@@ -499,10 +499,8 @@ TEST(SupervisorTest, CleanRunIsHealthyAndConserved) {
   sup.finish();
   EXPECT_EQ(sup.health(), HealthState::kHealthy);
   const runtime::SupervisorStats s = sup.stats();
-  EXPECT_EQ(s.frames_offered, fx.traces.size());
   EXPECT_EQ(s.frames_submitted, fx.traces.size());
   EXPECT_EQ(s.frames_handled, fx.traces.size());
-  EXPECT_EQ(s.frames_decimated, 0u);
   EXPECT_EQ(s.restarts, 0u);
   EXPECT_EQ(s.rollbacks, 0u);
   const pipeline::CountersSnapshot c = sup.pipeline_counters();
@@ -520,11 +518,10 @@ TEST(SupervisorTest, SubmitAfterFinishIsRefused) {
   EXPECT_EQ(sup.stats().frames_submitted, 1u);
 }
 
-TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
+TEST(SupervisorTest, WedgedFrameBacklogDrainsOnWatchdogRestart) {
   // One worker, wedged on frame 0 by a planned stall: every further submit
-  // grows the queue, so the governor's hysteresis and stride are exercised
-  // on a fully deterministic depth sequence (lockstep hands control back
-  // as soon as the worker is visibly wedged).
+  // joins the backlog behind it on a fully deterministic sequence
+  // (lockstep hands control back as soon as the worker is visibly wedged).
   const Fixture& fx = fixture();
   ASSERT_GE(fx.traces.size(), 12u);
 
@@ -533,9 +530,6 @@ TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
   sc.pipeline.queue_capacity = 32;
   sc.online_update = false;
   sc.lockstep = true;
-  sc.governor_high_water = 4;
-  sc.governor_low_water = 1;
-  sc.decimation_stride = 2;
   sc.watchdog.stall_timeout_ns = 1'000'000;
   sc.fault_plan.stalls.push_back({0});
 
@@ -546,12 +540,12 @@ TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
                             ++handled;
                             worker_errors += r.worker_error ? 1 : 0;
                           });
-  // Frames 0..9: 0 wedges its worker; 1..4 queue up (depth 0..3 at submit
-  // time); 5 sees depth 4 and trips the governor; from there every other
-  // offered frame is shed (ticks 1 and 3 -> offers 6 and 8).
-  for (std::size_t i = 0; i < 10; ++i) sup.submit(fx.traces[i]);
-  EXPECT_EQ(sup.stats().frames_decimated, 2u);
-  EXPECT_EQ(sup.stats().frames_submitted, 8u);
+  // Frames 0..9: 0 wedges its worker; 1..9 queue up behind it unscored.
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(sup.submit(fx.traces[i]), std::optional<std::uint64_t>(i));
+  }
+  EXPECT_EQ(sup.stats().frames_submitted, 10u);
+  EXPECT_EQ(handled, 0u);
 
   // Virtual time: prime the watchdog, then jump past the stall timeout.
   sup.poll(1'000);
@@ -560,15 +554,16 @@ TEST(SupervisorTest, GovernorShedsDeterministicallyUnderAWedgedWorker) {
   EXPECT_EQ(mid.stalls_detected, 1u);
   EXPECT_EQ(mid.restarts, 1u);
 
-  // Drained: the wedged frame came back as a worker_error, the rest
-  // scored.  The queue is empty again, so the governor deactivates.
+  // Drained: the wedged frame came back as a worker_error, the backlog
+  // scored in order, and later frames score inline again.
+  EXPECT_EQ(handled, 10u);
   EXPECT_TRUE(sup.submit(fx.traces[10]).has_value());
   sup.finish();
   EXPECT_EQ(worker_errors, 1u);
-  EXPECT_EQ(handled, 9u);  // 8 wedge-phase frames + 1 after restart
+  EXPECT_EQ(handled, 11u);  // 10 wedge-phase frames + 1 after restart
   const pipeline::CountersSnapshot c = sup.pipeline_counters();
   EXPECT_TRUE(c.consistent());
-  EXPECT_EQ(c.submitted.value(), 9u);
+  EXPECT_EQ(c.submitted.value(), 11u);
   EXPECT_EQ(c.worker_errors, 1u);
   EXPECT_EQ(sup.health(), HealthState::kHealthy);
 }
@@ -672,8 +667,8 @@ StreamRun run_stream(const HarshStream& hs, bool lockstep,
 }
 
 /// The supervisor's fingerprint fold (global seq, outcome code, distance
-/// bits; then decimated, promotions, rollbacks — all 0 here), recomputed
-/// over a plain result stream.
+/// bits; then a constant 0 slot, promotions, rollbacks — all 0 here),
+/// recomputed over a plain result stream.
 std::uint64_t fold(const std::vector<pipeline::FrameResult>& results) {
   std::uint64_t h = vprofile::kFnv1aOffset;
   for (const pipeline::FrameResult& r : results) {

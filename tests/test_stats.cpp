@@ -1,4 +1,5 @@
 #include <cmath>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -187,7 +188,7 @@ TEST(RngTest, DifferentSeedsDiffer) {
   Rng b(2);
   int equal = 0;
   for (int i = 0; i < 100; ++i) {
-    if (a.uniform() == b.uniform()) ++equal;
+    if (std::equal_to<double>{}(a.uniform(), b.uniform())) ++equal;
   }
   EXPECT_LT(equal, 5);
 }
@@ -246,7 +247,7 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng child = a.fork();
   int equal = 0;
   for (int i = 0; i < 100; ++i) {
-    if (a.uniform() == child.uniform()) ++equal;
+    if (std::equal_to<double>{}(a.uniform(), child.uniform())) ++equal;
   }
   EXPECT_LT(equal, 5);
 }

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/status_server.hpp"
 
@@ -121,6 +122,34 @@ TEST(StatusServerTest, RequestCounterCountsEveryServedRequest) {
     if (s.name == "status_requests_total") exported = s.counter_value;
   }
   EXPECT_EQ(exported, 2u);
+}
+
+TEST(StatusServerTest, MetricsRouteServesThePrometheusExposition) {
+  MetricsRegistry registry;
+  registry.counter("frames_total")->add(3);
+  obs::RunManifest manifest;
+  manifest.tool = "status-server-test";
+  StatusServer server;
+  server.route_metrics(registry, manifest);
+  std::string error;
+  if (!server.start(0, &error)) GTEST_SKIP() << error;
+
+  const std::string resp = http_get(server.port(), "/metrics");
+  EXPECT_NE(resp.find("HTTP/1.0 200"), std::string::npos) << resp;
+  EXPECT_NE(resp.find("Content-Type: text/plain; version=0.0.4"),
+            std::string::npos)
+      << resp;
+  // The body is the exporter's output: the manifest comment, then series.
+  const std::string head =
+      "\r\n\r\n# vprofile manifest: " + manifest.to_json();
+  EXPECT_NE(resp.find(head), std::string::npos) << resp;
+  EXPECT_NE(resp.find("\nframes_total 3\n"), std::string::npos) << resp;
+  // The route also counts requests (after serving) into the registry.
+  std::uint64_t exported = 0;
+  for (const obs::MetricSample& s : registry.samples()) {
+    if (s.name == "status_requests_total") exported = s.counter_value;
+  }
+  EXPECT_EQ(exported, 1u);
 }
 
 TEST(StatusServerTest, IoTimeoutAccessorClampsToMinimum) {

@@ -105,44 +105,6 @@ std::size_t find_word(const std::string& text, std::string_view word,
   return std::string::npos;
 }
 
-/// True when the text ending at `end` (exclusive, spaces skipped) is a
-/// floating-point literal such as 1.5, .5, 2., 1e-9 or 2.5e3f.
-bool float_literal_before(const std::string& text, std::size_t end) {
-  while (end > 0 &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  const std::size_t window = std::min<std::size_t>(end, 40);
-  const std::string tail = text.substr(end - window, window);
-  static const std::regex kFloatTail(
-      R"((^|[^\w.])([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?[fFlL]?$)");
-  std::smatch m;
-  if (!std::regex_search(tail, m, kFloatTail)) return false;
-  // Integer mantissa with no exponent is an integer literal, not a float.
-  const std::string mantissa = m[2].str();
-  const bool has_dot = mantissa.find('.') != std::string::npos;
-  const bool has_exp = m[3].matched && !m[3].str().empty();
-  return has_dot || has_exp;
-}
-
-/// True when the text starting at `begin` (spaces skipped) opens with a
-/// floating-point literal, allowing a unary sign.
-bool float_literal_after(const std::string& text, std::size_t begin) {
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  const std::string head = text.substr(begin, 40);
-  static const std::regex kFloatHead(
-      R"(^[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?[fFlL]?([^\w.]|$))");
-  std::smatch m;
-  if (!std::regex_search(head, m, kFloatHead)) return false;
-  const std::string mantissa = m[1].str();
-  const bool has_dot = mantissa.find('.') != std::string::npos;
-  const bool has_exp = m[2].matched && !m[2].str().empty();
-  return has_dot || has_exp;
-}
-
 /// Matches a balanced bracket run starting at the opener `text[pos]`;
 /// returns the offset one past the closer, or npos when unbalanced.
 std::size_t skip_balanced(const std::string& text, std::size_t pos,
@@ -293,34 +255,6 @@ void check_unordered_iteration(const RuleContext& ctx) {
               "implementation-defined order; sort first or use std::map");
     }
     pos = close;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Rule: float-eq
-// ---------------------------------------------------------------------
-
-void check_float_eq(const RuleContext& ctx) {
-  for (std::size_t i = 0; i + 1 < ctx.code.size(); ++i) {
-    const char a = ctx.code[i];
-    const char b = ctx.code[i + 1];
-    const bool is_eq = a == '=' && b == '=';
-    const bool is_ne = a == '!' && b == '=';
-    if (!is_eq && !is_ne) continue;
-    // Skip <=, >=, ===-like runs and compound operators.
-    const char before = i > 0 ? ctx.code[i - 1] : '\0';
-    const char after2 = i + 2 < ctx.code.size() ? ctx.code[i + 2] : '\0';
-    if (before == '=' || before == '<' || before == '>' || before == '!' ||
-        after2 == '=') {
-      continue;
-    }
-    if (float_literal_before(ctx.code, i) ||
-        float_literal_after(ctx.code, i + 2)) {
-      ctx.add(i, "float-eq",
-              "floating-point equality comparison; compare against an "
-              "epsilon or restructure around integers");
-    }
-    ++i;
   }
 }
 
@@ -657,7 +591,6 @@ std::vector<Finding> lint_source_raw(const std::string& path,
   if (!seed_literal_exempt) check_seed_literal(ctx);
   check_raw_new_delete(ctx);
   check_unordered_iteration(ctx);
-  check_float_eq(ctx);
   check_unit_cast(ctx);
   check_metric_name(ctx, source);
 

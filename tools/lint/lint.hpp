@@ -13,8 +13,6 @@
 //                        traversal order is implementation-defined and any
 //                        scored or golden-file output fed from it would
 //                        differ across standard libraries.
-//   float-eq             no ==/!= against floating-point literals; exact
-//                        comparisons belong on integers or via an epsilon.
 //   unit-cast            no casts between the strong unit types from
 //                        core/units.hpp (static_cast<units::X>(...) or
 //                        re-wrapping units::A{units::B{...}.value()}) —
@@ -41,11 +39,14 @@
 //                        stream in a published artifact traces back to
 //                        one audited catalog entry.
 //
+// Floating-point equality is left to the compiler: the root CMakeLists.txt
+// builds with -Wfloat-equal under -Werror.
+//
 // Scanning is token-level over comment- and string-stripped source: no
 // libclang, no compiler dependency. A finding can be suppressed where a
 // human has judged it safe with a trailing or preceding comment:
 //
-//     if (p + r == 0.0) return 0.0;  // vprofile-lint: allow(float-eq)
+//     int* p = new int;  // vprofile-lint: allow(raw-new-delete)
 //
 // The suppression names the rule explicitly so grep can audit every
 // exemption in the tree.

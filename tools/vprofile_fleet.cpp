@@ -51,7 +51,6 @@
 #include "fleet/fleet_service.hpp"
 #include "fleet/ingest_server.hpp"
 #include "fleet/wire.hpp"
-#include "obs/export.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/status_server.hpp"
@@ -339,16 +338,10 @@ int main(int argc, char** argv) {
 
   obs::StatusServer server;
   if (status_port >= 0) {
-    server.bind_metrics(&registry);
+    server.route_metrics(registry, manifest);
     server.route("/healthz", [&](const std::string&) {
       obs::StatusResponse resp;
       resp.body = "ok\n";
-      return resp;
-    });
-    server.route("/metrics", [&](const std::string&) {
-      obs::StatusResponse resp;
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = obs::to_prometheus(registry.samples(), &manifest);
       return resp;
     });
     server.route("/statusz", [&](const std::string&) {

@@ -339,18 +339,12 @@ int main(int argc, char** argv) {
 
   obs::StatusServer server;
   if (status_port >= 0) {
-    server.bind_metrics(metrics);
+    server.route_metrics(registry, manifest);
     server.route("/healthz", [&](const std::string&) {
       obs::StatusResponse resp;
       const bool down = sup.health() == runtime::HealthState::kDegraded;
       resp.status = down ? 503 : 200;
       resp.body = down ? "degraded\n" : "ok\n";
-      return resp;
-    });
-    server.route("/metrics", [&](const std::string&) {
-      obs::StatusResponse resp;
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = obs::to_prometheus(registry.samples(), &manifest);
       return resp;
     });
     server.route("/statusz", [&](const std::string&) {
@@ -360,10 +354,8 @@ int main(int argc, char** argv) {
       auto u64 = [](std::uint64_t v) { return std::to_string(v); };
       std::string body = "{\"health\":";
       body += obs::json_quote(runtime::to_string(sup.health()));
-      body += ",\"frames\":{\"offered\":" + u64(ss.frames_offered);
-      body += ",\"submitted\":" + u64(ss.frames_submitted);
+      body += ",\"frames\":{\"submitted\":" + u64(ss.frames_submitted);
       body += ",\"handled\":" + u64(ss.frames_handled);
-      body += ",\"decimated\":" + u64(ss.frames_decimated);
       body += ",\"completed\":" + u64(cs.completed.value());
       body += ",\"dropped\":" + u64(cs.dropped.value());
       body += "},\"lifecycle\":{\"restarts\":" + u64(ss.restarts);
@@ -525,11 +517,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ss.rollbacks),
       static_cast<unsigned long long>(ss.checkpoints_committed));
   std::printf(
-      "  intake      offered=%llu submitted=%llu shed=%llu "
-      "worker_errors=%llu\n",
-      static_cast<unsigned long long>(ss.frames_offered),
+      "  intake      submitted=%llu worker_errors=%llu\n",
       static_cast<unsigned long long>(ss.frames_submitted),
-      static_cast<unsigned long long>(ss.frames_decimated),
       static_cast<unsigned long long>(ss.worker_errors));
   std::printf(
       "  update gate accepted=%llu rejected_verdict=%llu "
