@@ -1,24 +1,12 @@
 #include "core/batch_scorer.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "linalg/simd_kernels.hpp"
 
 namespace vprofile {
 namespace {
-
-/// Ridge escalation start for the cached covariance factorizations —
-/// matches the deployment posture: prefer the exact factor, regularize
-/// only when sensor quantization collapsed the sample variance.
-constexpr double kInitialRidge = 1e-8;
-
-/// Relative tolerance for the inverse-consistency diagnostic.  The
-/// trainer derives the stored inverse from the same Cholesky routine, so
-/// honest checkpoints agree to rounding; a corrupted or mismatched file
-/// misses by orders of magnitude.
-constexpr double kInverseTol = 1e-6;
 
 std::size_t pad4(std::size_t n) { return (n + 3) & ~std::size_t{3}; }
 
@@ -42,25 +30,6 @@ ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
           for (std::size_t c = 0; c < dim; ++c) {
             ops.inv_cov_t[c * rows + r] = ops.inv_cov[r * dim + c];
           }
-        }
-      }
-    }
-
-    if (!cm.covariance.empty()) {
-      if (auto ridged = linalg::factorize_with_ridge(cm.covariance,
-                                                     kInitialRidge)) {
-        ops.ridge = ridged->ridge;
-        ops.factor.emplace(std::move(ridged->factor));
-        // Exact sentinel, not arithmetic: factorize_with_ridge returns
-        // ridge = 0.0 verbatim when the unregularized attempt succeeded.
-        if (mahalanobis && std::fpclassify(ops.ridge) == FP_ZERO) {
-          // The factor inverts the *unregularized* covariance, so it can
-          // vouch for the stored inverse directly.
-          const linalg::Matrix inv = ops.factor->inverse();
-          double scale = 1.0;
-          for (double v : inv.data()) scale = std::max(scale, std::abs(v));
-          ops.inverse_consistent =
-              inv.max_abs_diff(cm.inv_covariance) <= kInverseTol * scale;
         }
       }
     }

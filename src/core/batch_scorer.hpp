@@ -9,12 +9,9 @@
 //   ScoringPlan   immutable, built once at model load: per-cluster mean
 //                 copies, the transposed inverse the one-frame AVX2
 //                 kernel reads (the batch kernels read the model's own
-//                 inverse in place), the Cholesky factor of each covariance
-//                 (factorized once and cached — also used to cross-check
-//                 that the stored inverse actually inverts the stored
-//                 covariance, which catches corrupted checkpoints at load
-//                 time instead of as NaN verdicts later), and the
-//                 resolved backend.
+//                 inverse in place), and the resolved backend.  Model
+//                 files are vetted by io::load_model (CRC-32 footer,
+//                 parse and shape checks), not here.
 //   BatchScorer   per-worker scratch (SoA transpose buffers, distance
 //                 matrix) over one shared plan; scoring a batch does zero
 //                 allocations after warm-up.
@@ -27,12 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/detector.hpp"
 #include "core/model.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/simd_dispatch.hpp"
 
 namespace vprofile {
@@ -58,21 +53,6 @@ class ScoringPlan {
   std::size_t num_clusters() const { return clusters_.size(); }
   std::size_t dimension() const { return model_.dimension(); }
 
-  /// Cached Cholesky factor of cluster `c`'s covariance (factorized once
-  /// at plan build), or nullopt for Euclidean clusters and covariances
-  /// that stayed singular through ridge escalation.
-  const std::optional<linalg::Cholesky>& factor(std::size_t c) const {
-    return clusters_[c].factor;
-  }
-  /// Ridge the factorization needed (0 when it succeeded unregularized).
-  double factor_ridge(std::size_t c) const { return clusters_[c].ridge; }
-  /// False when the model's stored inverse covariance disagrees with its
-  /// stored covariance (checked against the cached factor at load) — the
-  /// signature of a corrupted or stale checkpoint.
-  bool inverse_consistent(std::size_t c) const {
-    return clusters_[c].inverse_consistent;
-  }
-
  private:
   friend class BatchScorer;
 
@@ -84,9 +64,6 @@ class ScoringPlan {
     /// AVX2 plans only: the inverse transposed and zero-padded to
     /// simd::padded_rows(dim) rows, for the one-frame kernel.
     std::vector<double> inv_cov_t;
-    std::optional<linalg::Cholesky> factor;
-    double ridge = 0.0;
-    bool inverse_consistent = true;
   };
 
   const Model& model_;

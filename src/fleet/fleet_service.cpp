@@ -17,7 +17,7 @@ using vprofile::fnv1a_u64;
 using vprofile::kFnv1aOffset;
 
 /// Virtual nanoseconds per accepted frame on a tenant's supervision
-/// clock: the watchdog runs deterministically on frame counts.
+/// clock: evidence records are stamped with frame counts, not wall time.
 constexpr std::uint64_t kTickNsPerFrame = 1'000'000;
 
 bool is_serving(TenantState state) {
@@ -29,8 +29,6 @@ void accumulate(runtime::SupervisorStats& into,
   into.frames_submitted += add.frames_submitted;
   into.frames_handled += add.frames_handled;
   into.worker_errors += add.worker_errors;
-  into.restarts += add.restarts;
-  into.stalls_detected += add.stalls_detected;
   into.drift_alarms += add.drift_alarms;
   into.candidates_started += add.candidates_started;
   into.promotions += add.promotions;
@@ -859,8 +857,6 @@ std::string FleetService::statusz_json() const {
     append_kv_str(out, "fingerprint", hex_fingerprint(snap.fingerprint));
     out += "\"supervisor\":{";
     append_kv(out, "frames_handled", snap.supervisor.frames_handled);
-    append_kv(out, "restarts", snap.supervisor.restarts);
-    append_kv(out, "stalls_detected", snap.supervisor.stalls_detected);
     append_kv(out, "drift_alarms", snap.supervisor.drift_alarms);
     append_kv(out, "promotions", snap.supervisor.promotions);
     append_kv(out, "rollbacks", snap.supervisor.rollbacks);

@@ -7,7 +7,7 @@
 // health state.  The design goal is fault containment, not raw speed:
 //
 //  * Bulkheads — every supervisor call is exception-contained; a tenant
-//    whose pipeline throws, whose watchdog gives up, or whose checkpoint
+//    whose pipeline throws, whose retrain rolls back, or whose checkpoint
 //    rots is quarantined or degraded *individually* and the rest of the
 //    fleet never observes it.
 //  * Transport hardening — wire decode errors are attributed to the
@@ -59,8 +59,8 @@ class MetricsRegistry;
 namespace fleet {
 
 /// Tenant lifecycle.  kActive and kDegraded are serving states (degraded
-/// = impaired but scoring: watchdog gave up, rollback landed, or the
-/// tenant was revived from a last-good checkpoint); kQuarantined drops
+/// = impaired but scoring: a retrain rollback landed, or the tenant was
+/// revived from a last-good checkpoint); kQuarantined drops
 /// frames while awaiting revival; kEvicted and kDrained are terminal.
 enum class TenantState {
   kActive,

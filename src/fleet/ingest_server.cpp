@@ -57,7 +57,10 @@ bool IngestServer::start(std::string* error) {
     ::close(fd);
     return false;
   }
-  if (::listen(fd, 16) != 0) {
+  // The backlog covers the connection cap: a burst of peers up to
+  // kMaxIngestConnections must not have SYNs dropped (and wait out the
+  // kernel's 1 s retransmit) while the accept loop catches up.
+  if (::listen(fd, SOMAXCONN) != 0) {
     if (error != nullptr) {
       *error = std::string("listen: ") + std::strerror(errno);
     }

@@ -27,12 +27,20 @@ void write_vector(std::ostream& out, const linalg::Vector& v) {
   out << '\n';
 }
 
+/// Reads one double that must be finite.  operator>> already fails on an
+/// out-of-range literal and parses neither "inf" nor "nan" (num_get), so
+/// the finiteness test is a second line: detection must never load a
+/// model whose distances would all come out NaN.
+bool read_finite(std::istream& in, double& x) {
+  return static_cast<bool>(in >> x) && std::isfinite(x);
+}
+
 bool read_vector(std::istream& in, linalg::Vector& v) {
   std::size_t n = 0;
   if (!(in >> n)) return false;
   v.resize(n);
   for (double& x : v) {
-    if (!(in >> x)) return false;
+    if (!read_finite(in, x)) return false;
   }
   return true;
 }
@@ -53,7 +61,7 @@ bool read_matrix(std::istream& in, linalg::Matrix& m) {
   }
   m = linalg::Matrix(rows, cols);
   for (double& x : m.data()) {
-    if (!(in >> x)) return false;
+    if (!read_finite(in, x)) return false;
   }
   return true;
 }
@@ -61,20 +69,6 @@ bool read_matrix(std::istream& in, linalg::Matrix& m) {
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-bool all_finite(const linalg::Vector& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-bool all_finite(const linalg::Matrix& m) {
-  for (double x : m.data()) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -206,12 +200,9 @@ std::optional<vprofile::Model> load_model(std::istream& raw_in,
 
   vprofile::ExtractionConfig ex;
   if (!(in >> ex.bit_width_samples >> ex.bit_threshold >> ex.prefix_len >>
-        ex.suffix_len >> ex.num_edge_sets >> ex.edge_set_spacing)) {
+        ex.suffix_len >> ex.num_edge_sets >> ex.edge_set_spacing) ||
+      !std::isfinite(ex.bit_threshold)) {
     fail(error, "malformed extraction config");
-    return std::nullopt;
-  }
-  if (!std::isfinite(ex.bit_threshold)) {
-    fail(error, "non-finite extraction threshold");
     return std::nullopt;
   }
 
@@ -256,15 +247,6 @@ std::optional<vprofile::Model> load_model(std::istream& raw_in,
     if (!read_vector(in, cl.mean) || !read_matrix(in, cl.covariance) ||
         !read_matrix(in, cl.inv_covariance)) {
       fail(error, "malformed cluster statistics");
-      return std::nullopt;
-    }
-    // operator>> rejects "nan"/"inf" tokens on this path, but a file
-    // edited or generated elsewhere could still smuggle non-finite values
-    // through (e.g. out-of-range literals); detection must never load a
-    // model whose distances would all come out NaN.
-    if (!all_finite(cl.mean) || !all_finite(cl.covariance) ||
-        !all_finite(cl.inv_covariance)) {
-      fail(error, "non-finite cluster statistics");
       return std::nullopt;
     }
     std::string threshold_token;

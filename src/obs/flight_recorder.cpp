@@ -29,8 +29,6 @@ const char* to_string(IncidentCause cause) {
       return "degraded-verdict";
     case IncidentCause::kDriftAlarm:
       return "drift-alarm";
-    case IncidentCause::kWatchdogRestart:
-      return "watchdog-restart";
     case IncidentCause::kRetrainRollback:
       return "retrain-rollback";
     case IncidentCause::kOperator:

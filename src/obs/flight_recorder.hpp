@@ -6,9 +6,9 @@
 // ordered sink) stores one EvidenceRecord per handled frame into a
 // fixed-capacity ring — a struct copy plus a relaxed index bump, nothing
 // else on the hot path.  Any thread may request a trigger (anomalous
-// verdict, drift alarm, watchdog restart, retrain rollback, operator
-// signal); the request is a lock-free arm of a one-slot pending cell.
-// The *writer* consumes it at its next record() call:
+// verdict, drift alarm, retrain rollback, operator signal); the request
+// is a lock-free arm of a one-slot pending cell.  The *writer* consumes
+// it at its next record() call:
 // the pre-trigger window is frozen out of the ring, a bounded
 // post-trigger window is captured as the next records arrive, and the
 // completed incident is emitted as a byte-stable JSON bundle (schema
@@ -67,12 +67,11 @@ enum class IncidentCause : std::uint8_t {
   kAnomalyVerdict = 0,   ///< confident anomaly (mismatch / distance / SA)
   kDegradedVerdict = 1,  ///< capture quality refused a confident verdict
   kDriftAlarm = 2,       ///< Page–Hinkley sentinel latched
-  kWatchdogRestart = 3,  ///< stalled pipeline was restarted
-  kRetrainRollback = 4,  ///< candidate model failed validation
-  kOperator = 5,         ///< external request (signal, status endpoint)
+  kRetrainRollback = 3,  ///< candidate model failed validation
+  kOperator = 4,         ///< external request (signal, status endpoint)
 };
 
-inline constexpr std::size_t kNumIncidentCauses = 6;
+inline constexpr std::size_t kNumIncidentCauses = 5;
 
 const char* to_string(IncidentCause cause);
 

@@ -71,14 +71,6 @@ obs::Histogram* ScoringCore::sa_histogram(std::uint8_t sa) {
   return h;
 }
 
-void ScoringCore::fail_job(std::uint64_t seq, const Emit& emit) {
-  Scratch::Slot slot;
-  slot.result.seq = seq;
-  slot.result.worker_error = true;
-  obs::Tracer* const tracer = config_.tracer;
-  complete_slot(slot, tracer != nullptr ? tracer->now_ns() : 0, emit);
-}
-
 // vprofile-lint: hot
 void ScoringCore::score_jobs(Scratch& scratch, const std::vector<Job>& jobs,
                              const Emit& emit) {

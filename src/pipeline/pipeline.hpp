@@ -80,9 +80,9 @@ struct PipelineConfig {
   /// re-extracting.  Scoring is bit-identical either way.
   bool keep_edge_set = false;
   /// Test/fault-injection hook run in the worker before a frame is scored
-  /// (runtime fault profiles use it to wedge or crash a stage on cue).  A
-  /// throw from the hook — like a throw from any stage — is contained:
-  /// the frame becomes a worker_error result and the worker survives.
+  /// (tests throw from it to crash a stage on cue).  A throw from the
+  /// hook — like a throw from any stage — is contained: the frame
+  /// becomes a worker_error result and the worker survives.
   /// Null (the default) costs nothing.
   std::function<void(std::uint64_t seq, const dsp::Trace& trace)> stage_hook;
   /// Optional observability sinks; null = zero overhead (scoring is
@@ -157,9 +157,6 @@ class ScoringCore {
   /// order.
   void score_jobs(Scratch& scratch, const std::vector<Job>& jobs,
                   const Emit& emit);
-  /// Emits frame `seq` as a contained worker_error without scoring it,
-  /// through the same accounting as a stage that threw.
-  void fail_job(std::uint64_t seq, const Emit& emit);
 
   /// Intake accounting for the queue in front of the step: one frame
   /// submitted (`depth` now wait), and whether a full queue dropped it.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <stdexcept>
 #include <utility>
 
 #include "core/detector.hpp"
@@ -126,18 +125,12 @@ Supervisor::Supervisor(vprofile::Model model, SupervisorConfig config,
     : config_(std::move(config)),
       sink_(std::move(sink)),
       model_(std::make_shared<const vprofile::Model>(std::move(model))),
-      watchdog_(config_.watchdog),
       sentinel_(model_->clusters().size(), config_.drift) {
-  if (!config_.lockstep && !config_.fault_plan.stalls.empty()) {
-    throw std::invalid_argument(
-        "Supervisor: worker stall plans are modelled in lockstep only");
-  }
   if (config_.online_update) config_.pipeline.keep_edge_set = true;
   if (!config_.checkpoint_dir.empty()) {
     store_.emplace(config_.checkpoint_dir);
   }
   if (obs::MetricsRegistry* reg = config_.pipeline.metrics) {
-    watchdog_.bind_metrics(reg);
     instruments_.promotions = reg->counter("runtime_promotions_total");
     instruments_.rollbacks = reg->counter("runtime_rollbacks_total");
     instruments_.checkpoints = reg->counter("runtime_checkpoints_total");
@@ -171,7 +164,7 @@ void Supervisor::create_scorer_locked() {
   pipe_ = std::make_unique<pipeline::DetectionPipeline>(
       *model_, config_.pipeline, [this](pipeline::FrameResult&& r) {
         // Sink consumers see the supervisor's global frame numbering,
-        // stable across pipeline restarts.
+        // stable across promotions.
         r.seq += base_seq_.load(std::memory_order_relaxed);
         handle(std::move(r));
       });
@@ -291,20 +284,19 @@ void Supervisor::validate_candidate_locked() {
 std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
   apply_control();
   std::uint64_t global = 0;
-  bool score_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) return std::nullopt;
     // Every accepted frame claims exactly one global index and produces
     // exactly one ordered result (scored, worker_error, or dropped).
     global = stats_.frames_submitted++;
-    if (config_.lockstep) score_now = intake_locked(global, trace);
+    if (config_.lockstep) core_->note_submitted(0);
   }
-  if (score_now) {
+  if (config_.lockstep) {
     jobs_.clear();
     jobs_.push_back(pipeline::Job{global, std::move(trace), 0});
     core_->score_jobs(*scratch_, jobs_, emit_);
-  } else if (!config_.lockstep) {
+  } else {
     // Enqueue outside the lock: blocking-mode backpressure must not hold
     // up the result handler.
     pipe_->submit(std::move(trace));
@@ -313,81 +305,9 @@ std::optional<std::uint64_t> Supervisor::submit(dsp::Trace trace) {
   return global;
 }
 
-bool Supervisor::intake_locked(std::uint64_t global, dsp::Trace& trace) {
-  if (!parked_.has_value()) {
-    for (const faults::WorkerStallPlan& stall : config_.fault_plan.stalls) {
-      if (stall.frame_index == global) parked_ = global;
-    }
-    core_->note_submitted(0);
-    return !parked_.has_value();
-  }
-  // Behind a parked frame: queue in order, or — the backlog being full —
-  // refuse it as the ring refuses a non-blocking push.  Only the caller's
-  // own poll() can drain the backlog, so blocking here could never end.
-  const bool room = backlog_drops_ == 0 &&
-                    backlog_.size() < config_.pipeline.queue_capacity;
-  if (room) {
-    backlog_.push_back(pipeline::Job{global, std::move(trace), 0});
-    backlog_high_ = std::max(backlog_high_, backlog_.size());
-  } else {
-    ++backlog_drops_;
-  }
-  core_->note_submitted(backlog_.size(), !room);
-  return false;
-}
-
-void Supervisor::release_parked() {
-  if (!parked_.has_value()) return;
-  std::uint64_t seq = *std::exchange(parked_, std::nullopt);
-  std::vector<pipeline::Job> backlog = std::exchange(backlog_, {});
-  core_->fail_job(seq, emit_);
-  if (!backlog.empty()) core_->score_jobs(*scratch_, backlog, emit_);
-  for (seq += backlog.size(); backlog_drops_ > 0; --backlog_drops_) {
-    pipeline::FrameResult dropped;
-    dropped.seq = ++seq;
-    dropped.dropped = true;
-    handle(std::move(dropped));
-  }
-  core_->note_depth(0);
-}
-
 void Supervisor::poll(std::uint64_t now_ns) {
   last_poll_ns_.store(now_ns, std::memory_order_relaxed);
   apply_control();
-  Watchdog::Action action = Watchdog::Action::kNone;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (finished_) return;
-    const pipeline::CountersSnapshot live = live_counters_locked();
-    const std::uint64_t completed =
-        accumulated_.completed.value() + live.completed.value();
-    const bool pending =
-        live.submitted.value() > live.completed.value() + live.dropped.value();
-    action = watchdog_.poll(now_ns, completed, pending);
-    if (action != Watchdog::Action::kNone) ++stats_.stalls_detected;
-    if (action == Watchdog::Action::kGiveUp) {
-      health_ = HealthState::kDegraded;
-    }
-  }
-  if (action == Watchdog::Action::kRestart ||
-      action == Watchdog::Action::kGiveUp) {
-    // Either way the wedged stage must be released and the pipeline made
-    // whole; give-up additionally pins health at degraded.
-    restart_pipeline(std::nullopt);
-    watchdog_.notify_restarted(now_ns);
-    std::uint64_t handled = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.restarts;
-      handled = stats_.frames_handled;
-    }
-    if (recorder_ != nullptr) {
-      recorder_->request_trigger(obs::IncidentCause::kWatchdogRestart, handled,
-                                 action == Watchdog::Action::kGiveUp
-                                     ? "watchdog gave up"
-                                     : "watchdog restart");
-    }
-  }
 }
 
 void Supervisor::trigger_incident(const char* detail) {
@@ -407,25 +327,20 @@ void Supervisor::accumulate_counters_locked() {
 }
 
 pipeline::CountersSnapshot Supervisor::live_counters_locked() const {
-  return pipe_ != nullptr ? pipe_->counters() : core_->counters(backlog_high_);
+  return pipe_ != nullptr ? pipe_->counters() : core_->counters(0);
 }
 
-void Supervisor::restart_pipeline(std::optional<vprofile::Model> new_model) {
+void Supervisor::swap_in_promoted(vprofile::Model promoted) {
   // Drain: every accepted frame is handled before this returns, so the
-  // swap below is a clean generation cut.
-  if (pipe_ != nullptr) {
-    pipe_->finish();
-  } else {
-    release_parked();
-  }
+  // swap below is a clean generation cut.  Lockstep has nothing in
+  // flight.
+  if (pipe_ != nullptr) pipe_->finish();
   std::lock_guard<std::mutex> lock(mu_);
   accumulate_counters_locked();
-  if (new_model.has_value()) {
-    model_ = std::make_shared<const vprofile::Model>(std::move(*new_model));
-    sentinel_.reset_all();
-    validation_window_.clear();
-    if (health_ != HealthState::kDegraded) health_ = HealthState::kHealthy;
-  }
+  model_ = std::make_shared<const vprofile::Model>(std::move(promoted));
+  sentinel_.reset_all();
+  validation_window_.clear();
+  if (health_ != HealthState::kDegraded) health_ = HealthState::kHealthy;
   pipe_.reset();
   create_scorer_locked();
 }
@@ -445,7 +360,7 @@ void Supervisor::apply_control() {
     }
   }
   if (promote.has_value()) {
-    restart_pipeline(std::move(promote));
+    swap_in_promoted(std::move(*promote));
     checkpoint = true;  // a promoted model is immediately made durable
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -472,11 +387,7 @@ void Supervisor::finish() {
     if (finished_) return;
   }
   apply_control();
-  if (pipe_ != nullptr) {
-    pipe_->finish();
-  } else {
-    release_parked();
-  }
+  if (pipe_ != nullptr) pipe_->finish();
   std::optional<vprofile::Model> promote;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -559,10 +470,6 @@ std::string Supervisor::context_json() const {
   out += obs::json_u64(s.frames_submitted);
   out += ",\"frames_handled\":";
   out += obs::json_u64(s.frames_handled);
-  out += ",\"restarts\":";
-  out += obs::json_u64(s.restarts);
-  out += ",\"stalls_detected\":";
-  out += obs::json_u64(s.stalls_detected);
   out += ",\"drift_alarms\":";
   out += obs::json_u64(s.drift_alarms);
   out += ",\"candidates_started\":";

@@ -1,12 +1,8 @@
 // Self-healing supervision around the pipeline's scoring step.
 //
-// The pipeline scores frames; the supervisor keeps the *monitor* alive
-// and the *model* honest across hours of unattended operation:
+// The pipeline scores frames; the supervisor keeps the *model* honest
+// across hours of unattended operation:
 //
-//  * Watchdog — judges liveness from completed-frame progress on an
-//    externally supplied clock (poll(now_ns)); a wedged stage is released
-//    (its frame becomes one contained worker_error), the scorer is drained
-//    and recreated, and restarts back off exponentially up to a budget.
 //  * Drift sentinel — Page–Hinkley over per-cluster distance streams;
 //    an alarm escalates healthy -> drifting and starts a retrain
 //    candidate.
@@ -28,13 +24,11 @@
 // (serialized, in capture order) and forwarded to the caller's sink.
 // Lockstep has no pipeline and no thread: submit() runs the pipeline's
 // ScoringCore step and handle() on the caller's thread, so the whole
-// supervised run — verdicts, promotions, restarts — is a pure function of
-// (model, config, input stream): the soak harness's bit-identical-
-// fingerprint guarantee.  A planned stall (lockstep only) parks its frame
-// unscored; later frames wait in a FIFO backlog (bounded by
-// queue_capacity, and the pending work the watchdog sees) until a
-// watchdog restart or finish() emits the parked frame as a worker_error
-// and scores the backlog in order.
+// supervised run — verdicts, promotions, rollbacks — is a pure function
+// of (model, config, input stream): the soak harness's bit-identical-
+// fingerprint guarantee.  Scoring is bounded and pure, so a lockstep
+// submit() always returns with its frame handled; a hang inside it would
+// block the very thread that calls poll().
 #pragma once
 
 #include <atomic>
@@ -51,12 +45,10 @@
 #include "core/fnv1a.hpp"
 #include "core/model.hpp"
 #include "core/online_update.hpp"
-#include "faults/runtime_fault.hpp"
 #include "obs/flight_recorder.hpp"
 #include "pipeline/pipeline.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/drift_sentinel.hpp"
-#include "runtime/watchdog.hpp"
 
 namespace obs {
 class Counter;
@@ -67,11 +59,9 @@ class MetricsRegistry;
 namespace runtime {
 
 struct SupervisorConfig {
-  /// Base pipeline tuning (lockstep uses the scoring fields and
-  /// queue_capacity, which bounds the stall backlog).  keep_edge_set is
-  /// forced on while online updates are enabled.
+  /// Base pipeline tuning (lockstep uses only the scoring fields).
+  /// keep_edge_set is forced on while online updates are enabled.
   pipeline::PipelineConfig pipeline;
-  WatchdogConfig watchdog;
   DriftConfig drift;
   vprofile::GatedUpdateConfig gate;
 
@@ -93,10 +83,6 @@ struct SupervisorConfig {
   /// Deterministic mode: submit() scores the frame inline and hands its
   /// result to the sink before returning (see the threading contract).
   bool lockstep = false;
-  /// Injected runtime failures (soak harness).  Stall plans are keyed on
-  /// the supervisor's global frame index and need lockstep (the
-  /// constructor throws std::invalid_argument otherwise).
-  faults::RuntimeFaultPlan fault_plan;
 
   /// Flight recorder: per-frame evidence ring + freeze-on-trigger
   /// incident bundles (obs/flight_recorder.hpp).  Sizing, incident_dir
@@ -104,7 +90,7 @@ struct SupervisorConfig {
   /// the verdict/extract-error name tables, the context callback, and —
   /// unless `recorder` already sets them — the pipeline's metrics
   /// registry and tracer.  Triggers: anomalous/degraded verdicts, drift
-  /// alarms, watchdog restarts, retrain rollbacks and trigger_incident().
+  /// alarms, retrain rollbacks and trigger_incident().
   bool flight_recorder = false;
   obs::FlightRecorderConfig recorder;
 };
@@ -113,8 +99,9 @@ struct SupervisorStats {
   std::uint64_t frames_submitted = 0;  // accepted by submit()
   std::uint64_t frames_handled = 0;    // results seen (ordered)
   std::uint64_t worker_errors = 0;
+  /// Always 0 and in no output: no path restarts a scorer.  Kept only
+  /// because the end-to-end benchmark (bench/e2e/workloads.cpp) reads it.
   std::uint64_t restarts = 0;
-  std::uint64_t stalls_detected = 0;
   std::uint64_t drift_alarms = 0;
   std::uint64_t candidates_started = 0;
   std::uint64_t promotions = 0;
@@ -127,7 +114,7 @@ class Supervisor {
  public:
   /// Called (serialized, in capture order) with every handled result.
   /// result.seq carries the supervisor's global frame index (stable
-  /// across pipeline restarts), not the pipeline-local sequence.
+  /// across promotions), not the pipeline-local sequence.
   using ResultSink = std::function<void(const pipeline::FrameResult&)>;
 
   Supervisor(vprofile::Model model, SupervisorConfig config,
@@ -141,8 +128,9 @@ class Supervisor {
   /// when intake has finished.  Single producer.
   std::optional<std::uint64_t> submit(dsp::Trace trace);
 
-  /// Supervision tick on the caller's clock (virtual or wall).  Runs the
-  /// watchdog and applies any pending promotion / checkpoint.
+  /// Supervision tick on the caller's clock (virtual or wall).  Stamps
+  /// the clock on later evidence records and applies any pending
+  /// promotion / checkpoint.
   void poll(std::uint64_t now_ns);
 
   /// Drains the pipeline, applies pending control actions, commits the
@@ -161,7 +149,7 @@ class Supervisor {
   const obs::FlightRecorder* flight_recorder() const {
     return recorder_.get();
   }
-  /// Aggregated pipeline counters across every restart generation.
+  /// Aggregated pipeline counters across every model generation.
   pipeline::CountersSnapshot pipeline_counters() const;
   /// Order-exact digest of every handled result (verdict, distance bits)
   /// plus the lifecycle counts — the soak harness's equivalence check.
@@ -172,17 +160,12 @@ class Supervisor {
   /// inline step in lockstep.  Caller holds mu_ (or is the constructor).
   void create_scorer_locked();
   void handle(pipeline::FrameResult&& result);
-  /// Lockstep intake under mu_: parks a planned-stall frame or queues the
-  /// frame behind a parked one.  True when the frame is to be scored now.
-  bool intake_locked(std::uint64_t global, dsp::Trace& trace);
-  /// Lockstep: emits the parked frame as a worker_error, then scores the
-  /// backlog in order.  No-op when nothing is parked.
-  void release_parked();
   /// Applies pending promotion / checkpoint decisions.  Must be called
   /// without mu_ held (drains the pipeline).
   void apply_control();
-  /// Drains + recreates the scorer; new_model empty = keep current.
-  void restart_pipeline(std::optional<vprofile::Model> new_model);
+  /// Drains the scorer, swaps in the promoted model and builds the next
+  /// generation's scorer over it.
+  void swap_in_promoted(vprofile::Model promoted);
   void accumulate_counters_locked();
   pipeline::CountersSnapshot live_counters_locked() const;
   void validate_candidate_locked();
@@ -199,7 +182,6 @@ class Supervisor {
   std::unique_ptr<pipeline::ScoringCore::Scratch> scratch_;
   std::vector<pipeline::Job> jobs_;
   pipeline::ScoringCore::Emit emit_;  // inline result -> handle()
-  Watchdog watchdog_;
   DriftSentinel sentinel_;
   std::optional<CheckpointStore> store_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
@@ -210,14 +192,6 @@ class Supervisor {
   mutable std::mutex mu_;
   /// Free-running: global index of the current pipeline's local seq 0.
   std::atomic<std::uint64_t> base_seq_{0};
-  /// Lockstep planned-stall model (producer thread only, except
-  /// backlog_high_, which mu_ guards): the parked frame's global index, the
-  /// frames forwarded behind it, and how many of those a full backlog
-  /// refused (they follow the backlog in global order).
-  std::optional<std::uint64_t> parked_;
-  std::vector<pipeline::Job> backlog_;
-  std::uint64_t backlog_drops_ = 0;
-  std::size_t backlog_high_ = 0;
   std::uint64_t fingerprint_ = vprofile::kFnv1aOffset;
   HealthState health_ = HealthState::kHealthy;
   bool finished_ = false;

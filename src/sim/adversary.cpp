@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "core/fnv1a.hpp"
 #include "faults/fault.hpp"
 #include "linalg/fixed_point.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "runtime/supervisor.hpp"
@@ -31,14 +31,6 @@ std::uint64_t hash_double(std::uint64_t hash, double value) {
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
   return fnv1a_u64(hash, bits);
-}
-
-/// %.17g round-trips every double exactly, so serialization is a pure
-/// function of the value bits.
-std::string json_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 constexpr std::size_t kPlainIdx =
@@ -193,7 +185,7 @@ std::string FrontierReport::to_json() const {
       if (!first) out += ", ";
       first = false;
       out += std::string("\"") + specs[d].name +
-             "\": " + json_double(f.weakest.params[d]);
+             "\": " + obs::json_double(f.weakest.params[d]);
     }
     out += "},\n";
     out += "        \"arms\": [";
@@ -202,8 +194,8 @@ std::string FrontierReport::to_json() const {
       out += a == 0 ? "\n" : ",\n";
       out += std::string("          {\"arm\": \"") +
              to_string(static_cast<DefenseArm>(a)) + "\"";
-      out += ", \"detection_rate\": " + json_double(arm.detection_rate);
-      out += ", \"margin\": " + json_double(arm.margin);
+      out += ", \"detection_rate\": " + obs::json_double(arm.detection_rate);
+      out += ", \"margin\": " + obs::json_double(arm.margin);
       out += ", \"attack_frames\": " + std::to_string(arm.attack_frames);
       out += ", \"detected\": " + std::to_string(arm.detected);
       out += std::string(", \"stream_alarm\": ") +

@@ -211,7 +211,7 @@ TEST(FlightRecorderTest, FlushEmitsThePartialPostWindow) {
   fc.post_trigger = 16;
   FlightRecorder rec(fc);
   for (std::uint64_t s = 0; s < 4; ++s) rec.record(make_record(s));
-  EXPECT_TRUE(rec.request_trigger(IncidentCause::kWatchdogRestart, 3, "eof"));
+  EXPECT_TRUE(rec.request_trigger(IncidentCause::kRetrainRollback, 3, "eof"));
   rec.record(make_record(4));  // one post record, 15 still owed
   EXPECT_TRUE(rec.incident_open());
   rec.flush();  // quiescence: emit with what exists

@@ -1,9 +1,10 @@
 // Tests for the loopback wire acceptor (fleet::IngestServer): frames sent
 // over real sockets must reach the FleetService exactly as the same bytes
 // fed through wire::Decoder + handle_wire_event in process, a garbage run
-// resynchronizes without touching later frames, peers past the
-// connection cap are refused at accept, and stop() returns while peers
-// are still connected.  Clients are raw loopback sockets, as a truck's
+// resynchronizes without touching later frames, a burst of peers up to
+// the connection cap connects without a SYN retransmit, peers past the
+// cap are refused at accept, and stop() returns while peers are still
+// connected.  Clients are raw loopback sockets, as a truck's
 // uplink would look on the wire.
 #include <gtest/gtest.h>
 
@@ -219,9 +220,18 @@ TEST(IngestServer, RefusesPeersPastTheCapAndStopsWithPeersOpen) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
+  // Each connect() of the burst completes in the kernel's handshake; one
+  // that waits on a SYN retransmit (a backlog below the cap) takes ~1 s.
+  const auto timed_connect = [&server] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const int fd = connect_loopback(server.port());
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(500));
+    return fd;
+  };
   std::vector<int> peers;
   for (std::size_t i = 0; i < fleet::kMaxIngestConnections; ++i) {
-    const int fd = connect_loopback(server.port());
+    const int fd = timed_connect();
     ASSERT_GE(fd, 0);
     peers.push_back(fd);
   }
@@ -231,7 +241,7 @@ TEST(IngestServer, RefusesPeersPastTheCapAndStopsWithPeersOpen) {
   }));
 
   // One peer too many: accepted by the kernel, then closed and counted.
-  const int extra = connect_loopback(server.port());
+  const int extra = timed_connect();
   ASSERT_GE(extra, 0);
   ASSERT_TRUE(wait_for([&] { return server.stats().connections_refused == 1; }));
   EXPECT_TRUE(sees_eof(extra));

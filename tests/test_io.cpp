@@ -343,6 +343,81 @@ TEST(ModelStore, LegacyFooterlessVersion1StillLoads) {
                    model.clusters()[0].max_distance);
 }
 
+/// A hand-built, valid version-2 body: one Mahalanobis cluster of
+/// dimension 2.  Each reject case below changes one token of it.
+const std::string kValidBody =
+    "vprofile-model 2\n"
+    "mahalanobis\n"
+    "40 38000 2 14 1 250\n"
+    "1\n"
+    "9 ECU Alpha\n"
+    "1 7\n"
+    "2 100 200\n"
+    "2 2 2 0 0 2\n"
+    "2 2 0.5 0 0 0.5\n"
+    "3.5 60 global\n";
+
+/// Appends the CRC-32 footer, so a bad body reaches the parser.
+std::string sign(const std::string& body) {
+  return body + "crc32 " + io::crc32_hex(io::crc32(body)) + "\n";
+}
+
+/// kValidBody with its one occurrence of `from` replaced by `to`.
+std::string edit(const std::string& from, const std::string& to) {
+  std::string body = kValidBody;
+  const std::size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  EXPECT_EQ(body.find(from, at + 1), std::string::npos) << from;
+  if (at != std::string::npos) body.replace(at, from.size(), to);
+  return body;
+}
+
+TEST(ModelStore, EveryRejectLineHasAHandBuiltInput) {
+  {
+    std::stringstream in(sign(kValidBody));
+    std::string error;
+    ASSERT_TRUE(io::load_model(in, &error).has_value()) << error;
+  }
+  struct RejectCase {
+    std::string want;  // the error, or its leading part
+    std::string input;
+    bool bad_stream = false;
+  };
+  const std::vector<RejectCase> cases = {
+      {"stream failure", sign(kValidBody), true},
+      {"unreadable header", ""},
+      {"not a vprofile model file", "vprofile-trace 2\n"},
+      {"unsupported model version 3", "vprofile-model 3\n"},
+      {"missing or truncated integrity footer", kValidBody},
+      {"malformed integrity footer", kValidBody + "crc32 0000000g\n"},
+      {"integrity check failed (CRC-32 mismatch)",
+       edit("38000", "38001") + sign(kValidBody).substr(kValidBody.size())},
+      {"missing metric", sign("vprofile-model 2\n")},
+      {"unknown metric 'cosine'", sign(edit("mahalanobis", "cosine"))},
+      {"malformed extraction config", sign(edit(" 250\n", " x\n"))},
+      {"malformed cluster count", sign(edit("250\n1\n", "250\n0\n"))},
+      {"malformed cluster name length",
+       sign(edit("9 ECU Alpha", "x ECU Alpha"))},
+      {"truncated cluster name", sign(edit("9 ECU Alpha", "999 ECU Alpha"))},
+      {"malformed SA count", sign(edit("1 7\n", "x 7\n"))},
+      {"malformed SA", sign(edit("1 7\n", "1 300\n"))},
+      {"malformed cluster statistics", sign(edit("2 100 200", "2 100 nan"))},
+      {"malformed cluster scalars", sign(edit("3.5 60", "3.5 x"))},
+      {"invalid cluster max distance", sign(edit("3.5 60", "-3.5 60"))},
+      {"malformed extraction threshold", sign(edit("global", "abc"))},
+      {"malformed extraction threshold", sign(edit("global", "inf"))},
+      {"inconsistent model: Model: Mahalanobis cluster lacks an inverse",
+       sign(edit("2 2 0.5 0 0 0.5", "0 0"))},
+  };
+  for (const RejectCase& c : cases) {
+    std::stringstream in(c.input);
+    if (c.bad_stream) in.setstate(std::ios::badbit);
+    std::string error;
+    EXPECT_FALSE(io::load_model(in, &error).has_value()) << c.want;
+    EXPECT_EQ(error.substr(0, c.want.size()), c.want);
+  }
+}
+
 TEST(AtomicFile, ReplacesContentAtomically) {
   const std::string path = ::testing::TempDir() + "/atomic_probe.txt";
   std::string error;

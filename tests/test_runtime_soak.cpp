@@ -1,9 +1,8 @@
 // Deterministic soak scenarios for the runtime supervision layer.  Each
 // scenario drives the Supervisor in lockstep mode on virtual time, so a
-// run is a pure function of (seed, config, fault plan): worker stalls
-// wedge exactly the planned frame, the watchdog restarts on a virtual
-// clock, drift alarms / candidate validation / promotion & rollback all
-// happen at frame-indexed points, and two same-seed runs must produce
+// run is a pure function of (seed, config, injected drift): drift
+// alarms / candidate validation / promotion & rollback all happen at
+// frame-indexed points, and two same-seed runs must produce
 // bit-identical verdict fingerprints.  The `soak` ctest label lets CI
 // schedule these separately from the fast unit suites.
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "core/trainer.hpp"
 #include "dsp/trace.hpp"
 #include "faults/fault.hpp"
-#include "faults/runtime_fault.hpp"
 #include "pipeline/pipeline.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/supervisor.hpp"
@@ -147,21 +145,6 @@ SoakOutcome run_soak(const SoakConfig& cfg) {
   return out;
 }
 
-/// The watchdog scenario: a worker wedges on one planned frame; the
-/// virtual-clock watchdog must detect the stall, restart the pipeline, and
-/// the wedged frame must come back as a contained worker error.
-SoakConfig stall_restart_config() {
-  SoakConfig cfg;
-  cfg.frame_count = 400;
-  cfg.sup.online_update = false;
-  cfg.sup.watchdog.stall_timeout_ns = 4'000'000;   // 4 virtual ticks
-  cfg.sup.watchdog.initial_backoff_ns = 2'000'000;
-  cfg.sup.watchdog.max_backoff_ns = 8'000'000;
-  cfg.sup.watchdog.max_restarts = 4;
-  cfg.sup.fault_plan.stalls.push_back(faults::WorkerStallPlan{150});
-  return cfg;
-}
-
 SoakConfig drift_promote_config() {
   SoakConfig cfg;
   cfg.frame_count = 1200;
@@ -218,18 +201,6 @@ void corrupt_file(const std::string& path, std::size_t offset,
   ASSERT_TRUE(f.good());
 }
 
-TEST(Soak, StallIsDetectedRestartedAndContained) {
-  const SoakOutcome o = run_soak(stall_restart_config());
-  EXPECT_EQ(o.stats.stalls_detected, 1u);
-  EXPECT_EQ(o.stats.restarts, 1u);
-  EXPECT_EQ(o.stats.worker_errors, 1u);
-  // The wedged frame is released on restart and comes back as a contained
-  // worker error, so no frame is lost.
-  EXPECT_EQ(o.stats.frames_handled, 400u);
-  EXPECT_EQ(o.stats.frames_submitted, 400u);
-  EXPECT_EQ(o.health, runtime::HealthState::kHealthy);
-}
-
 TEST(Soak, CheckpointCorruptionRecoversLastGood) {
   const std::string dir = ::testing::TempDir() + "soak_ckpt_corrupt";
   SoakConfig cfg;
@@ -275,14 +246,12 @@ TEST(Soak, PoisonedRetrainRollsBack) {
 
 TEST(Soak, SameSeedRunsAreBitIdentical) {
   for (const SoakConfig& cfg :
-       {stall_restart_config(), drift_promote_config(),
-        poison_rollback_config()}) {
+       {drift_promote_config(), poison_rollback_config()}) {
     const SoakOutcome a = run_soak(cfg);
     const SoakOutcome b = run_soak(cfg);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.stats.frames_handled, b.stats.frames_handled);
     EXPECT_EQ(a.stats.worker_errors, b.stats.worker_errors);
-    EXPECT_EQ(a.stats.restarts, b.stats.restarts);
     EXPECT_EQ(a.stats.drift_alarms, b.stats.drift_alarms);
     EXPECT_EQ(a.stats.promotions, b.stats.promotions);
     EXPECT_EQ(a.stats.rollbacks, b.stats.rollbacks);

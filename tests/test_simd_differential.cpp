@@ -494,7 +494,7 @@ INSTANTIATE_TEST_SUITE_P(Metrics, SimdDifferential,
                          });
 
 // ---------------------------------------------------------------------------
-// Dispatch + plan construction.
+// Dispatch.
 // ---------------------------------------------------------------------------
 
 TEST(SimdDispatch, ForceScalarOverridePinsFloatBackendsOnly) {
@@ -507,29 +507,6 @@ TEST(SimdDispatch, ForceScalarOverridePinsFloatBackendsOnly) {
   EXPECT_EQ(linalg::simd::resolve(Backend::kAuto), expect_auto);
   EXPECT_EQ(linalg::simd::resolve(Backend::kScalar), Backend::kScalar);
   linalg::simd::set_force_scalar_override(-1);
-}
-
-TEST(ScoringPlanTest, CachesFactorsAndValidatesStoredInverse) {
-  DifferentialFixture f(DistanceMetric::kMahalanobis, 0xD1FF0004);
-  const ScoringPlan plan(*f.model, Backend::kScalar);
-  ASSERT_EQ(plan.num_clusters(), 2u);
-  for (std::size_t c = 0; c < plan.num_clusters(); ++c) {
-    ASSERT_TRUE(plan.factor(c).has_value()) << "cluster " << c;
-    EXPECT_EQ(plan.factor(c)->dim(), plan.dimension());
-    EXPECT_EQ(plan.factor_ridge(c), 0.0) << "cluster " << c;
-    EXPECT_TRUE(plan.inverse_consistent(c)) << "cluster " << c;
-  }
-}
-
-TEST(ScoringPlanTest, DetectsCorruptedStoredInverse) {
-  DifferentialFixture f(DistanceMetric::kMahalanobis, 0xD1FF0005);
-  Model tampered = *f.model;
-  // Corrupt one coefficient of cluster 0's stored inverse — the shape of a
-  // bad checkpoint or a stale online update.
-  tampered.clusters()[0].inv_covariance.at(0, 0) *= 3.0;
-  const ScoringPlan plan(tampered, Backend::kScalar);
-  EXPECT_FALSE(plan.inverse_consistent(0));
-  EXPECT_TRUE(plan.inverse_consistent(1));
 }
 
 // ---------------------------------------------------------------------------

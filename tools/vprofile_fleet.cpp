@@ -295,7 +295,6 @@ int main(int argc, char** argv) {
   fc.tenant.governor_window = governor_window;
   fc.tenant.governor_quota = governor_quota;
   fc.tenant.supervisor.lockstep = true;
-  fc.tenant.supervisor.pipeline.queue_capacity = 64;
   fc.tenant.supervisor.pipeline.detection =
       sim::scenario_detection_config(config, 0.0);
   fc.tenant.supervisor.checkpoint_every = 256;

@@ -20,10 +20,10 @@
 //
 // Every frame offered is scored: one saturated bus needs about 1% of a
 // core, so there is no queue to shed from, and the verdicts are a pure
-// function of (vehicle, seed, options).  The supervisor adds the stall
-// watchdog, the Page–Hinkley drift sentinel with guarded online
-// retraining and periodic crash-safe model checkpoints (--checkpoint-dir
-// / --checkpoint-every).  SIGINT/SIGTERM stop intake cleanly: the final
+// function of (vehicle, seed, options).  The supervisor adds the
+// Page–Hinkley drift sentinel with guarded online retraining and
+// periodic crash-safe model checkpoints (--checkpoint-dir /
+// --checkpoint-every).  SIGINT/SIGTERM stop intake cleanly: the final
 // checkpoint commits and the telemetry artifacts are still written.
 //
 // Introspection: the supervisor always carries a flight recorder
@@ -358,9 +358,7 @@ int main(int argc, char** argv) {
       body += ",\"handled\":" + u64(ss.frames_handled);
       body += ",\"completed\":" + u64(cs.completed.value());
       body += ",\"dropped\":" + u64(cs.dropped.value());
-      body += "},\"lifecycle\":{\"restarts\":" + u64(ss.restarts);
-      body += ",\"stalls\":" + u64(ss.stalls_detected);
-      body += ",\"drift_alarms\":" + u64(ss.drift_alarms);
+      body += "},\"lifecycle\":{\"drift_alarms\":" + u64(ss.drift_alarms);
       body += ",\"candidates\":" + u64(ss.candidates_started);
       body += ",\"promotions\":" + u64(ss.promotions);
       body += ",\"rollbacks\":" + u64(ss.rollbacks);
@@ -507,10 +505,8 @@ int main(int argc, char** argv) {
               c.mean_extract_us(), c.mean_detect_us());
   std::printf("\nsupervisor: health=%s\n", runtime::to_string(sup.health()));
   std::printf(
-      "  lifecycle   restarts=%llu stalls=%llu drift_alarms=%llu "
-      "candidates=%llu promotions=%llu rollbacks=%llu checkpoints=%llu\n",
-      static_cast<unsigned long long>(ss.restarts),
-      static_cast<unsigned long long>(ss.stalls_detected),
+      "  lifecycle   drift_alarms=%llu candidates=%llu promotions=%llu "
+      "rollbacks=%llu checkpoints=%llu\n",
       static_cast<unsigned long long>(ss.drift_alarms),
       static_cast<unsigned long long>(ss.candidates_started),
       static_cast<unsigned long long>(ss.promotions),
