@@ -1,7 +1,6 @@
 #include "analog/signature.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace analog {
 
@@ -19,56 +18,6 @@ EcuSignature EcuSignature::under(const Environment& env) const {
   eff.drive.natural_freq_hz *= freq_scale;
   eff.release.natural_freq_hz *= freq_scale;
   return eff;
-}
-
-double EcuSignature::parameter_distance(const EcuSignature& other) const {
-  // Normalized parameter deltas; weights are arbitrary but consistent.
-  const double dl = (dominant - other.dominant).value() / 0.1;
-  const double dr = (recessive - other.recessive).value() / 0.02;
-  const double df = (drive.natural_freq_hz - other.drive.natural_freq_hz) /
-                    (0.2 * drive.natural_freq_hz);
-  const double dz = (drive.damping - other.drive.damping) / 0.1;
-  const double dff =
-      (release.natural_freq_hz - other.release.natural_freq_hz) /
-      (0.2 * release.natural_freq_hz);
-  const double dzz = (release.damping - other.release.damping) / 0.1;
-  return std::sqrt(dl * dl + dr * dr + df * df + dz * dz + dff * dff +
-                   dzz * dzz);
-}
-
-namespace {
-
-double clamp_damping(double z) { return std::clamp(z, 0.3, 0.97); }
-
-}  // namespace
-
-EcuSignature perturb_signature(const EcuSignature& nominal,
-                               const SignatureSpread& spread,
-                               stats::Rng& rng) {
-  EcuSignature s = nominal;
-  s.dominant += units::Volts{
-      rng.uniform(-spread.dominant.value(), spread.dominant.value())};
-  s.recessive += units::Volts{
-      rng.uniform(-spread.recessive.value(), spread.recessive.value())};
-  s.drive.natural_freq_hz *=
-      1.0 + rng.uniform(-spread.freq_frac, spread.freq_frac);
-  s.drive.natural_freq_hz = std::max(1.0e5, s.drive.natural_freq_hz);
-  s.drive.damping =
-      clamp_damping(s.drive.damping + rng.uniform(-spread.damping,
-                                                  spread.damping));
-  s.release.natural_freq_hz *=
-      1.0 + rng.uniform(-spread.freq_frac, spread.freq_frac);
-  s.release.natural_freq_hz = std::max(1.0e5, s.release.natural_freq_hz);
-  s.release.damping =
-      clamp_damping(s.release.damping + rng.uniform(-spread.damping,
-                                                    spread.damping));
-  s.noise_sigma *= 1.0 + rng.uniform(-spread.noise_frac, spread.noise_frac);
-  s.noise_sigma = std::max(units::Volts{1.0e-4}, s.noise_sigma);
-  s.dominant_temp_coeff_v_per_c *=
-      1.0 + rng.uniform(-spread.temp_coeff_frac, spread.temp_coeff_frac);
-  s.dominant_vbat_coeff *=
-      1.0 + rng.uniform(-spread.vbat_coeff_frac, spread.vbat_coeff_frac);
-  return s;
 }
 
 }  // namespace analog

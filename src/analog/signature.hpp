@@ -19,7 +19,6 @@
 
 #include "analog/environment.hpp"
 #include "core/units.hpp"
-#include "stats/rng.hpp"
 
 namespace analog {
 
@@ -56,29 +55,6 @@ struct EcuSignature {
   /// Effective signature under the given environment: levels and dynamics
   /// shifted by the coefficients above.  Noise and jitter are unchanged.
   EcuSignature under(const Environment& env) const;
-
-  /// Euclidean-style crude dissimilarity between two signatures in
-  /// parameter space; used only by tests and factories to reason about
-  /// spread (detection itself never sees these parameters).
-  double parameter_distance(const EcuSignature& other) const;
 };
-
-/// Controls how far apart randomly generated signatures are.
-struct SignatureSpread {
-  units::Volts dominant{0.08};    // +- range around the nominal level
-  units::Volts recessive{0.01};
-  double freq_frac = 0.25;        // relative spread of natural frequencies
-  double damping = 0.1;
-  double noise_frac = 0.3;
-  double temp_coeff_frac = 0.6;
-  double vbat_coeff_frac = 0.4;
-};
-
-/// Draws a signature around `nominal` with the given spread.  All sampled
-/// parameters are clamped to physically sane ranges (damping in
-/// [0.3, 0.97], positive frequencies and noise).
-EcuSignature perturb_signature(const EcuSignature& nominal,
-                               const SignatureSpread& spread,
-                               stats::Rng& rng);
 
 }  // namespace analog

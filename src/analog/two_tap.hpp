@@ -29,11 +29,6 @@ struct TwoTapBus {
   double propagation_mps = 2.0e8;
   /// Amplitude loss per metre of cable between node and tap.
   double attenuation_per_m = 0.004;
-
-  /// Arrival-time difference tap A minus tap B for a node at `position_m`.
-  double delay_difference_s(double position_m) const {
-    return (2.0 * position_m - length_m) / propagation_mps;
-  }
 };
 
 /// Synthesizes the two tap captures of one frame sent by a node at

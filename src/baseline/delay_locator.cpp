@@ -121,10 +121,4 @@ std::optional<DelayLocatorIds::Classification> DelayLocatorIds::classify(
   return c;
 }
 
-std::optional<double> DelayLocatorIds::delay_of(std::uint8_t sa) const {
-  const auto it = profiles_.find(sa);
-  if (it == profiles_.end()) return std::nullopt;
-  return it->second.mean;
-}
-
 }  // namespace baseline

@@ -73,9 +73,6 @@ class DelayLocatorIds {
                                          const dsp::Trace& tap_b,
                                          std::uint8_t claimed_sa) const;
 
-  /// Trained mean delay difference for an SA (for diagnostics).
-  std::optional<double> delay_of(std::uint8_t sa) const;
-
  private:
   Options options_;
   DelayEstimator estimator_;

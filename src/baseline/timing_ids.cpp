@@ -116,12 +116,6 @@ ClockSkewIds::Verdict ClockSkewIds::observe(const TimedMessage& message) {
   return Verdict::kOk;
 }
 
-std::optional<double> ClockSkewIds::skew_of(std::uint8_t sa) const {
-  const auto it = profiles_.find(sa);
-  if (it == profiles_.end()) return std::nullopt;
-  return it->second.skew;
-}
-
 void ClockSkewIds::reset_online_state() { online_.clear(); }
 
 }  // namespace baseline

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,9 +52,6 @@ class ClockSkewIds {
 
   /// Feeds one live message; maintains per-SA RLS + CUSUM state.
   Verdict observe(const TimedMessage& message);
-
-  /// Trained skew (seconds of offset per message) for diagnostics.
-  std::optional<double> skew_of(std::uint8_t sa) const;
 
   /// Resets the online state (e.g. after an alarm was handled).
   void reset_online_state();

@@ -43,16 +43,6 @@ void append_tail(BitVector& bits) {
   for (int i = 0; i < 7; ++i) bits.push_back(true);  // EOF
 }
 
-std::uint32_t read_bits_msb_first(const BitVector& bits,
-                                  units::BitIndex first, int width) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    const std::size_t at = first.value() + static_cast<std::size_t>(i);
-    v = (v << 1) | (bits[at] ? 1u : 0u);
-  }
-  return v;
-}
-
 }  // namespace
 
 BitVector build_unstuffed_bits(const DataFrame& frame) {
@@ -65,102 +55,6 @@ BitVector build_wire_bits(const DataFrame& frame) {
   BitVector bits = stuff(build_stuffable_region(frame));
   append_tail(bits);
   return bits;
-}
-
-std::optional<DataFrame> parse_wire_bits(const BitVector& wire) {
-  // Incrementally destuff until the frame length (known once the DLC is
-  // decoded) is reached, then validate the fixed-form tail.
-  BitVector unstuffed;
-  unstuffed.reserve(wire.size());
-  std::size_t run = 0;
-  bool run_value = false;
-  bool skip_next = false;
-  std::size_t stuffable_len = 0;  // unknown until DLC parsed
-  std::size_t wire_pos = 0;
-
-  for (; wire_pos < wire.size(); ++wire_pos) {
-    const Bit b = wire[wire_pos];
-    if (skip_next) {
-      if (b == run_value) return std::nullopt;  // stuff violation
-      skip_next = false;
-      run_value = b;
-      run = 1;
-      continue;
-    }
-    if (run > 0 && b == run_value) {
-      ++run;
-    } else {
-      run_value = b;
-      run = 1;
-    }
-    unstuffed.push_back(b);
-    if (run == 5) skip_next = true;
-
-    if (stuffable_len == 0 &&
-        unstuffed.size() > (frame_bits::kDlcFirst + 3).value()) {
-      const std::uint32_t dlc =
-          read_bits_msb_first(unstuffed, frame_bits::kDlcFirst, 4);
-      if (dlc > 8) return std::nullopt;
-      stuffable_len = frame_bits::kDataFirst.value() + 8 * dlc + 15;
-    }
-    if (stuffable_len != 0 && unstuffed.size() == stuffable_len) {
-      ++wire_pos;
-      break;
-    }
-  }
-  if (stuffable_len == 0 || unstuffed.size() != stuffable_len) {
-    return std::nullopt;  // truncated frame
-  }
-  // A run of five ending exactly on the last CRC bit still inserts a
-  // stuff bit before the (unstuffed) CRC delimiter; consume it.
-  if (skip_next) {
-    if (wire_pos >= wire.size() || wire[wire_pos] == run_value) {
-      return std::nullopt;
-    }
-    ++wire_pos;
-  }
-
-  // Fixed-form tail: CRC delim, ACK slot, ACK delim, 7 x EOF.
-  static constexpr Bit kTail[] = {true, false, true, true, true,
-                                  true, true,  true, true, true};
-  for (Bit expected : kTail) {
-    if (wire_pos >= wire.size() || wire[wire_pos] != expected) {
-      return std::nullopt;
-    }
-    ++wire_pos;
-  }
-
-  // Structural checks on fixed bits.
-  namespace fb = frame_bits;
-  if (unstuffed[fb::kSof.value()]) return std::nullopt;   // SOF must be 0
-  if (!unstuffed[fb::kSrr.value()]) return std::nullopt;  // SRR must be 1
-  if (!unstuffed[fb::kIde.value()]) return std::nullopt;  // IDE must be 1
-  if (unstuffed[fb::kRtr.value()]) return std::nullopt;   // RTR must be 0
-
-  // CRC check: recompute over SOF..data.
-  const std::size_t crc_first = stuffable_len - 15;
-  BitVector body(unstuffed.begin(),
-                 unstuffed.begin() + static_cast<std::ptrdiff_t>(crc_first));
-  const std::uint16_t expected_crc = crc15(body);
-  const std::uint16_t got_crc =
-      static_cast<std::uint16_t>(
-          read_bits_msb_first(unstuffed, units::BitIndex{crc_first}, 15));
-  if (expected_crc != got_crc) return std::nullopt;
-
-  DataFrame frame;
-  const std::uint32_t base =
-      read_bits_msb_first(unstuffed, frame_bits::kBaseIdFirst, 11);
-  const std::uint32_t ext =
-      read_bits_msb_first(unstuffed, frame_bits::kExtIdFirst, 18);
-  frame.id = J1939Id::unpack((base << 18) | ext);
-  const std::uint32_t dlc =
-      read_bits_msb_first(unstuffed, frame_bits::kDlcFirst, 4);
-  frame.payload.resize(dlc);
-  for (std::uint32_t i = 0; i < dlc; ++i) {
-    frame.payload[i] = static_cast<std::uint8_t>(
-        read_bits_msb_first(unstuffed, frame_bits::kDataFirst + 8 * i, 8));
-  }
-  return frame;
 }
 
 std::size_t wire_bit_count(const DataFrame& frame) {

@@ -1,12 +1,10 @@
-// CAN 2.0B extended data frame construction and parsing (Fig 2.2 /
-// Table 2.1).  The on-wire bitstream produced here is what the analog
+// CAN 2.0B extended data frame construction (Fig 2.2 / Table 2.1).  The on-wire bitstream produced here is what the analog
 // synthesizer converts to a voltage waveform, and what vProfile's edge-set
 // extractor traverses bit-by-bit.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "canbus/crc15.hpp"
@@ -56,10 +54,6 @@ BitVector build_unstuffed_bits(const DataFrame& frame);
 /// sequence, followed by the unstuffed CRC delimiter, ACK slot (dominant,
 /// as asserted by receivers of a valid frame), ACK delimiter and EOF.
 BitVector build_wire_bits(const DataFrame& frame);
-
-/// Parses an on-wire bitstream back into a frame.  Returns std::nullopt on
-/// stuff violations, malformed fixed-form bits, or CRC mismatch.
-std::optional<DataFrame> parse_wire_bits(const BitVector& wire);
 
 /// Total number of on-wire bits of a frame (stuffed), excluding interframe
 /// space.

@@ -1,6 +1,5 @@
 #include "canbus/j1939.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace canbus {
@@ -14,24 +13,6 @@ std::uint32_t J1939Id::pack() const {
   }
   return (static_cast<std::uint32_t>(priority) << 26) | (pgn << 8) |
          source_address;
-}
-
-J1939Id J1939Id::unpack(std::uint32_t id29) {
-  if (id29 > 0x1FFFFFFF) {
-    throw std::invalid_argument("J1939Id::unpack: value exceeds 29 bits");
-  }
-  J1939Id id;
-  id.priority = static_cast<std::uint8_t>((id29 >> 26) & 0x7);
-  id.pgn = (id29 >> 8) & 0x3FFFF;
-  id.source_address = static_cast<std::uint8_t>(id29 & 0xFF);
-  return id;
-}
-
-std::string J1939Id::to_string() const {
-  std::ostringstream os;
-  os << "J1939{prio=" << static_cast<int>(priority) << ", pgn=" << pgn
-     << ", sa=" << static_cast<int>(source_address) << "}";
-  return os.str();
 }
 
 }  // namespace canbus

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace canbus {
 
@@ -17,12 +16,7 @@ struct J1939Id {
   /// std::invalid_argument when priority or pgn exceed their field widths.
   std::uint32_t pack() const;
 
-  /// Unpacks a 29-bit identifier; throws when the value needs > 29 bits.
-  static J1939Id unpack(std::uint32_t id29);
-
   bool operator==(const J1939Id&) const = default;
-
-  std::string to_string() const;
 };
 
 /// Number of bits in an extended CAN identifier.

@@ -25,36 +25,4 @@ BitVector stuff(const BitVector& bits) {
   return out;
 }
 
-std::optional<BitVector> destuff(const BitVector& bits) {
-  BitVector out;
-  out.reserve(bits.size());
-  std::size_t run = 0;
-  bool run_value = false;
-  bool skip_next = false;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const Bit b = bits[i];
-    if (skip_next) {
-      // The bit after a length-5 run must be the complement.
-      if (b == run_value) return std::nullopt;
-      skip_next = false;
-      run_value = b;
-      run = 1;
-      continue;
-    }
-    if (run > 0 && b == run_value) {
-      ++run;
-    } else {
-      run_value = b;
-      run = 1;
-    }
-    out.push_back(b);
-    if (run == 5) skip_next = true;
-  }
-  return out;
-}
-
-std::size_t count_stuff_bits(const BitVector& bits) {
-  return stuff(bits).size() - bits.size();
-}
-
 }  // namespace canbus

@@ -4,8 +4,6 @@
 // transmitted unstuffed.
 #pragma once
 
-#include <optional>
-
 #include "canbus/crc15.hpp"
 
 namespace canbus {
@@ -13,12 +11,5 @@ namespace canbus {
 /// Inserts stuff bits into `bits`.  The input must start at SOF because the
 /// run-length state begins there.
 BitVector stuff(const BitVector& bits);
-
-/// Removes stuff bits.  Returns std::nullopt on a stuff violation (six
-/// consecutive equal bits), which on a real bus signals an error frame.
-std::optional<BitVector> destuff(const BitVector& bits);
-
-/// Number of stuff bits `stuff` would insert.
-std::size_t count_stuff_bits(const BitVector& bits);
 
 }  // namespace canbus

@@ -73,16 +73,6 @@ void BatchScorer::detect(const EdgeSet* const* sets, std::size_t count,
   }
 }
 
-std::vector<Detection> BatchScorer::detect(const std::vector<EdgeSet>& sets,
-                                           const DetectionConfig& config) {
-  std::vector<const EdgeSet*> ptrs;
-  ptrs.reserve(sets.size());
-  for (const EdgeSet& s : sets) ptrs.push_back(&s);
-  std::vector<Detection> out(sets.size());
-  if (!sets.empty()) detect(ptrs.data(), ptrs.size(), config, out.data());
-  return out;
-}
-
 // vprofile-lint: hot
 void BatchScorer::score_batch(const EdgeSet* const* sets,
                               const std::uint32_t* indices, std::size_t n,
@@ -127,12 +117,8 @@ void BatchScorer::score_batch(const EdgeSet* const* sets,
                                          dscratch_.data(), row, body, n);
       }
     } else {
-      if (body > 0) {
-        linalg::simd::euclidean_avx2(view, ops.mean.data(), row, 0, body);
-      }
-      if (body < n) {
-        linalg::simd::euclidean_scalar(view, ops.mean.data(), row, body, n);
-      }
+      // Euclidean is scalar on every backend (see simd_kernels.hpp).
+      linalg::simd::euclidean_scalar(view, ops.mean.data(), row, 0, n);
     }
   }
 }

@@ -85,10 +85,6 @@ class BatchScorer {
   void detect(const EdgeSet* const* sets, std::size_t count,
               const DetectionConfig& config, Detection* out);
 
-  /// Convenience overload.
-  std::vector<Detection> detect(const std::vector<EdgeSet>& sets,
-                                const DetectionConfig& config);
-
  private:
   void score_batch(const EdgeSet* const* sets, const std::uint32_t* indices,
                    std::size_t n, std::size_t stride);

@@ -78,16 +78,6 @@ std::vector<std::size_t> OnlineUpdater::clusters_needing_retrain() const {
   return out;
 }
 
-const char* to_string(GateDecision decision) {
-  switch (decision) {
-    case GateDecision::kAccepted: return "accepted";
-    case GateDecision::kRejectedVerdict: return "rejected-verdict";
-    case GateDecision::kRejectedMargin: return "rejected-margin";
-    case GateDecision::kRefusedByUpdater: return "refused-by-updater";
-  }
-  return "unknown";
-}
-
 GatedUpdater::GatedUpdater(Model* model, GatedUpdateConfig config)
     : model_(model), config_(config), updater_(model, config.retrain_bound) {
   if (config_.max_distance_fraction <= 0.0 ||

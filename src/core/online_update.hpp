@@ -65,8 +65,6 @@ enum class GateDecision {
   kRefusedByUpdater,  // gate passed, OnlineUpdater refused (bound, SA, dim)
 };
 
-const char* to_string(GateDecision decision);
-
 struct GatedUpdateConfig {
   /// The paper's retrain bound M, forwarded to OnlineUpdater.
   std::size_t retrain_bound = 100000;
@@ -84,10 +82,6 @@ struct GatedUpdateStats {
   std::uint64_t rejected_verdict = 0;
   std::uint64_t rejected_margin = 0;
   std::uint64_t refused_by_updater = 0;
-
-  std::uint64_t considered() const {
-    return accepted + rejected_verdict + rejected_margin + refused_by_updater;
-  }
 };
 
 /// Algorithm 4 with the verdict gate in front: only frames the detector
@@ -108,7 +102,6 @@ class GatedUpdater {
   GateDecision consider(const EdgeSet& edge_set, const Detection& detection);
 
   const GatedUpdateStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = GatedUpdateStats{}; }
   const GatedUpdateConfig& config() const { return config_; }
   /// The wrapped ungated updater (for retrain bookkeeping).
   OnlineUpdater& updater() { return updater_; }

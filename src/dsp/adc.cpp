@@ -31,22 +31,10 @@ double AdcModel::quantize(double volts) const {
   return std::clamp(code, 0.0, static_cast<double>(max_code_));
 }
 
-double AdcModel::to_volts(double code) const {
-  return v_min_.value() + code * volts_per_code_;
-}
-
 Trace AdcModel::quantize_trace(const Trace& volts) const {
   Trace out(volts.size());
   for (std::size_t i = 0; i < volts.size(); ++i) out[i] = quantize(volts[i]);
   return out;
-}
-
-AdcModel AdcModel::with_resolution(int bits) const {
-  return AdcModel(sample_rate_, bits, v_min_, v_max_);
-}
-
-AdcModel AdcModel::with_sample_rate(units::SampleRateHz rate) const {
-  return AdcModel(rate, resolution_bits_, v_min_, v_max_);
 }
 
 Trace requantize_codes(const Trace& codes, int from_bits, int to_bits) {

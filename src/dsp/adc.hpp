@@ -34,22 +34,12 @@ class AdcModel {
 
   units::SampleRateHz sample_rate() const { return sample_rate_; }
   int resolution_bits() const { return resolution_bits_; }
-  units::Volts v_min() const { return v_min_; }
-  units::Volts v_max() const { return v_max_; }
   std::uint32_t max_code() const { return max_code_; }
 
   /// Quantizes one voltage to the nearest code, clamping at the rails.
   double quantize(double volts) const;
-  /// Converts a code back to the centre voltage of its quantization bin.
-  double to_volts(double code) const;
   /// Quantizes a whole voltage trace.
   Trace quantize_trace(const Trace& volts) const;
-
-  /// Digitizer with the same analog range but fewer bits, for resolution
-  /// sweeps.
-  AdcModel with_resolution(int bits) const;
-  /// Digitizer with a different sample rate (same range and resolution).
-  AdcModel with_sample_rate(units::SampleRateHz rate) const;
 
  private:
   units::SampleRateHz sample_rate_;

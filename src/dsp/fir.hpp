@@ -16,8 +16,6 @@ class FirLowPass {
   /// >= 3.  Throws std::invalid_argument otherwise.
   FirLowPass(double cutoff_hz, double sample_rate_hz, std::size_t num_taps);
 
-  const std::vector<double>& taps() const { return taps_; }
-
   /// Filters a trace.  Uses edge-value padding so the output has the same
   /// length and no startup ramp from zero.
   Trace apply(const Trace& input) const;

@@ -103,12 +103,6 @@ std::optional<FaultProfile> profile_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-std::uint64_t FaultStats::applied_total() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t a : applied) total += a;
-  return total;
-}
-
 namespace {
 
 double clamp_code(double code, double max_code) {

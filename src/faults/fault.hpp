@@ -199,8 +199,6 @@ struct FaultStats {
   std::array<std::uint64_t, kNumFaultKinds> applied{};
   std::uint64_t faulted_traces = 0;  // traces hit by at least one fault
   std::uint64_t total_traces = 0;
-
-  std::uint64_t applied_total() const;
 };
 
 /// Applies a profile to traces, one at a time, deterministically.
@@ -220,15 +218,6 @@ class FaultInjector {
 
   const FaultProfile& profile() const { return profile_; }
   const FaultStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = FaultStats{}; }
-
-  /// Current cumulative slow-drift offset in codes (0 until the slow-drift
-  /// fault first fires).  Exposed so tests can assert the ramp's shape.
-  double slow_drift_shift() const { return slow_drift_shift_; }
-
-  /// Current cumulative drift-masquerade offset in codes (independent of
-  /// the slow-drift state; the two ramps compose).
-  double masquerade_shift() const { return masquerade_shift_; }
 
   /// Mirrors activations into `fault_activations_total{kind=...}` (plus
   /// `fault_traces_total`) on top of the local stats.  Null detaches.
@@ -240,6 +229,8 @@ class FaultInjector {
   double max_code_;
   stats::Rng rng_;
   FaultStats stats_;
+  /// Cumulative offsets in codes of the slow-drift and drift-masquerade
+  /// ramps; independent of each other, the two ramps compose.
   double slow_drift_shift_ = 0.0;
   double masquerade_shift_ = 0.0;
   std::uint64_t masquerade_ticks_ = 0;

@@ -20,6 +20,10 @@ using vprofile::kFnv1aOffset;
 /// clock: evidence records are stamped with frame counts, not wall time.
 constexpr std::uint64_t kTickNsPerFrame = 1'000'000;
 
+/// Pending frames per tenant in threaded mode; beyond this the frame is
+/// dropped and counted (the backstop bulkhead, not the governor).
+constexpr std::size_t kTenantQueueCapacity = 1024;
+
 bool is_serving(TenantState state) {
   return state == TenantState::kActive || state == TenantState::kDegraded;
 }
@@ -334,7 +338,7 @@ FleetService::AdmitOutcome FleetService::admit_locked(Tenant& tenant) {
     }
   }
 
-  if (config_.threaded && tenant.pending >= config_.tenant.queue_capacity) {
+  if (config_.threaded && tenant.pending >= kTenantQueueCapacity) {
     ++tenant.frames_dropped_queue_full;
     ++stats_.dropped_queue_full;
     out.result = IngestResult::kQueueFull;
@@ -511,11 +515,6 @@ void FleetService::finish() {
       if (shard->worker.joinable()) shard->worker.join();
     }
   }
-}
-
-bool FleetService::finished() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return finished_;
 }
 
 void FleetService::dispatch(Command&& cmd) {

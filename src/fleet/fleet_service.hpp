@@ -86,9 +86,6 @@ struct TenantConfig {
   /// tenant's own directory under FleetConfig::checkpoint_root.  For the
   /// determinism contract, keep lockstep=true and num_workers=1.
   runtime::SupervisorConfig supervisor;
-  /// Pending frames per tenant in threaded mode; beyond this the frame is
-  /// dropped and counted (the backstop bulkhead, not the governor).
-  std::size_t queue_capacity = 1024;
   /// Deterministic overload governor: within each window of
   /// `governor_window` fleet-offered frames, at most `governor_quota`
   /// frames per tenant are admitted; the excess is shed.  0 disables.
@@ -222,8 +219,6 @@ class FleetService {
 
   /// Drains every tenant and stops the shard threads.  Idempotent.
   void finish();
-
-  bool finished() const;
 
   std::optional<TenantSnapshot> tenant(const std::string& id) const;
   /// Every tenant, sorted by id (deterministic order).

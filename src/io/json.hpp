@@ -29,12 +29,9 @@ struct Value {
   /// Key/value pairs in document order (deterministic iteration).
   std::vector<std::pair<std::string, Value>> object;
 
-  bool is_null() const { return type == Type::kNull; }
-  bool is_bool() const { return type == Type::kBool; }
   bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }
   bool is_array() const { return type == Type::kArray; }
-  bool is_object() const { return type == Type::kObject; }
 
   /// Object member lookup (first match); nullptr when absent or not an
   /// object.

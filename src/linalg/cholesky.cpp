@@ -67,29 +67,6 @@ Matrix Cholesky::inverse() const {
   return inv;
 }
 
-double Cholesky::log_determinant() const {
-  double s = 0.0;
-  for (std::size_t i = 0; i < dim(); ++i) s += std::log(l_.at(i, i));
-  return 2.0 * s;
-}
-
-double Cholesky::quadratic_form(const Vector& x) const {
-  const std::size_t n = dim();
-  if (x.size() != n) {
-    throw std::invalid_argument("Cholesky::quadratic_form: size mismatch");
-  }
-  // x^T A^-1 x = ||L^-1 x||^2, one forward substitution.
-  double acc = 0.0;
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = x[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l_.at(i, k) * y[k];
-    y[i] = s / l_.at(i, i);
-    acc += y[i] * y[i];
-  }
-  return acc;
-}
-
 std::optional<RidgedCholesky> factorize_with_ridge(const Matrix& a,
                                                    double initial_ridge,
                                                    int max_attempts) {

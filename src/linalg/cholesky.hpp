@@ -30,10 +30,6 @@ class Cholesky {
   /// Full inverse A^-1 (needed by the online updater, which maintains the
   /// inverse incrementally afterwards).
   Matrix inverse() const;
-  /// log(det(A)) = 2 * sum(log(L_ii)).
-  double log_determinant() const;
-  /// Quadratic form x^T A^-1 x computed via one triangular solve.
-  double quadratic_form(const Vector& x) const;
 
  private:
   explicit Cholesky(Matrix l) : l_(std::move(l)) {}

@@ -1,19 +1,10 @@
 #include "linalg/mahalanobis.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace linalg {
-
-double mahalanobis_distance(const Vector& x, const Vector& mu,
-                            const Cholesky& sigma_factor) {
-  if (x.size() != mu.size() || x.size() != sigma_factor.dim()) {
-    throw std::invalid_argument("mahalanobis_distance: size mismatch");
-  }
-  Vector d = subtract(x, mu);
-  const double q = sigma_factor.quadratic_form(d);
-  return std::sqrt(std::max(0.0, q));
-}
 
 double mahalanobis_distance_inv(const Vector& x, const Vector& mu,
                                 const Matrix& sigma_inverse) {

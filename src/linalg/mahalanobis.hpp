@@ -1,20 +1,13 @@
 // Mahalanobis distance (paper Eq 2.2), the metric at the heart of vProfile.
 #pragma once
 
-#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace linalg {
 
-/// sqrt((x - mu)^T Sigma^-1 (x - mu)) using a precomputed Cholesky factor of
-/// Sigma.  Preferred in the detection hot path: one triangular solve, no
-/// explicit inverse.
-double mahalanobis_distance(const Vector& x, const Vector& mu,
-                            const Cholesky& sigma_factor);
-
-/// Same distance using an explicit inverse covariance (the representation
-/// the online updater maintains).
+/// sqrt((x - mu)^T Sigma^-1 (x - mu)) using an explicit inverse covariance
+/// (the representation models store and the online updater maintains).
 double mahalanobis_distance_inv(const Vector& x, const Vector& mu,
                                 const Matrix& sigma_inverse);
 

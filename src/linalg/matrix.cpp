@@ -27,20 +27,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::diagonal(const Vector& d) {
-  Matrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m.at(i, i) = d[i];
-  return m;
-}
-
-Matrix Matrix::outer(const Vector& a, const Vector& b) {
-  Matrix m(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) m.at(i, j) = a[i] * b[j];
-  }
-  return m;
-}
-
 Matrix Matrix::transpose() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -53,32 +39,6 @@ Matrix Matrix::operator+(const Matrix& other) const {
   require_same_shape(*this, other, "Matrix::operator+");
   Matrix out = *this;
   for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  require_same_shape(*this, other, "Matrix::operator-");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator*(const Matrix& other) const {
-  if (cols_ != other.rows_) {
-    throw std::invalid_argument("Matrix::operator*: inner dimension mismatch");
-  }
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = at(r, k);
-      // Exact-zero skip: sparse rows contribute nothing; any nonzero,
-      // however small, must still be accumulated.
-      if (std::fpclassify(a) == FP_ZERO) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c) {
-        out.at(r, c) += a * other.at(k, c);
-      }
-    }
-  }
   return out;
 }
 
@@ -106,15 +66,6 @@ void Matrix::add_ridge(double lambda) {
     throw std::logic_error("Matrix::add_ridge: matrix must be square");
   }
   for (std::size_t i = 0; i < rows_; ++i) at(i, i) += lambda;
-}
-
-double Matrix::max_abs_diff(const Matrix& other) const {
-  require_same_shape(*this, other, "Matrix::max_abs_diff");
-  double m = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::fabs(data_[i] - other.data_[i]));
-  }
-  return m;
 }
 
 bool Matrix::is_symmetric(double tol) const {

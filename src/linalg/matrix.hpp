@@ -15,10 +15,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
   static Matrix identity(std::size_t n);
-  /// Diagonal matrix from a vector.
-  static Matrix diagonal(const Vector& d);
-  /// Outer product a * b^T.
-  static Matrix outer(const Vector& a, const Vector& b);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -33,16 +29,12 @@ class Matrix {
 
   Matrix transpose() const;
   Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-  Matrix operator*(const Matrix& other) const;
   Matrix operator*(double k) const;
   Vector operator*(const Vector& v) const;
 
   /// Adds `lambda` to every diagonal element (ridge regularization).
   void add_ridge(double lambda);
 
-  /// Maximum absolute element difference; throws on shape mismatch.
-  double max_abs_diff(const Matrix& other) const;
   /// True when the matrix equals its transpose within `tol`.
   bool is_symmetric(double tol = 1e-9) const;
   double trace() const;

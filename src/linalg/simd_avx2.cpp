@@ -1,4 +1,5 @@
-// AVX2 kernels: four edges per lane-quad, one edge per 64-bit lane.
+// AVX2 Mahalanobis kernels: four edges per lane-quad, one edge per
+// 64-bit lane.
 //
 // Bit-identity with the scalar oracle comes from the vectorization axis:
 // lanes never interact, and each lane executes the same sub/mul/add
@@ -38,63 +39,6 @@
 
 namespace linalg::simd {
 namespace {
-
-inline void euclidean_block4(const BatchView& batch, const double* mu,
-                             double* out, std::size_t e) {
-  __m256d q0 = _mm256_setzero_pd();
-  __m256d q1 = _mm256_setzero_pd();
-  __m256d q2 = _mm256_setzero_pd();
-  __m256d q3 = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < batch.dim; ++i) {
-    const __m256d m = _mm256_set1_pd(mu[i]);
-    const double* col = batch.soa + i * batch.stride + e;
-    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(col), m);
-    const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(col + 4), m);
-    const __m256d d2 = _mm256_sub_pd(_mm256_loadu_pd(col + 8), m);
-    const __m256d d3 = _mm256_sub_pd(_mm256_loadu_pd(col + 12), m);
-    q0 = _mm256_add_pd(q0, _mm256_mul_pd(d0, d0));
-    q1 = _mm256_add_pd(q1, _mm256_mul_pd(d1, d1));
-    q2 = _mm256_add_pd(q2, _mm256_mul_pd(d2, d2));
-    q3 = _mm256_add_pd(q3, _mm256_mul_pd(d3, d3));
-  }
-  alignas(32) double lanes[16];
-  _mm256_store_pd(lanes, q0);
-  _mm256_store_pd(lanes + 4, q1);
-  _mm256_store_pd(lanes + 8, q2);
-  _mm256_store_pd(lanes + 12, q3);
-  for (std::size_t l = 0; l < 16; ++l) out[e + l] = std::sqrt(lanes[l]);
-}
-
-inline void euclidean_block2(const BatchView& batch, const double* mu,
-                             double* out, std::size_t e) {
-  __m256d q0 = _mm256_setzero_pd();
-  __m256d q1 = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < batch.dim; ++i) {
-    const __m256d m = _mm256_set1_pd(mu[i]);
-    const double* col = batch.soa + i * batch.stride + e;
-    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(col), m);
-    const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(col + 4), m);
-    q0 = _mm256_add_pd(q0, _mm256_mul_pd(d0, d0));
-    q1 = _mm256_add_pd(q1, _mm256_mul_pd(d1, d1));
-  }
-  alignas(32) double lanes[8];
-  _mm256_store_pd(lanes, q0);
-  _mm256_store_pd(lanes + 4, q1);
-  for (std::size_t l = 0; l < 8; ++l) out[e + l] = std::sqrt(lanes[l]);
-}
-
-inline void euclidean_block1(const BatchView& batch, const double* mu,
-                             double* out, std::size_t e) {
-  __m256d q = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < batch.dim; ++i) {
-    const __m256d x = _mm256_loadu_pd(batch.soa + i * batch.stride + e);
-    const __m256d d = _mm256_sub_pd(x, _mm256_set1_pd(mu[i]));
-    q = _mm256_add_pd(q, _mm256_mul_pd(d, d));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, q);
-  for (std::size_t l = 0; l < 4; ++l) out[e + l] = std::sqrt(lanes[l]);
-}
 
 /// Centered features for a block: feature i of the block's quad k lives
 /// at dscratch[(i * nq + k) * 4 ..+4).
@@ -255,15 +199,6 @@ inline void rows_block1(const double* inv_t, std::size_t rows,
 }  // namespace
 
 // vprofile-lint: hot
-void euclidean_avx2(const BatchView& batch, const double* mu, double* out,
-                    std::size_t begin, std::size_t end) {
-  std::size_t e = begin;
-  for (; e + 16 <= end; e += 16) euclidean_block4(batch, mu, out, e);
-  for (; e + 8 <= end; e += 8) euclidean_block2(batch, mu, out, e);
-  for (; e + 4 <= end; e += 4) euclidean_block1(batch, mu, out, e);
-}
-
-// vprofile-lint: hot
 void mahalanobis_avx2(const BatchView& batch, const double* mu,
                       const double* inv_cov, double* dscratch, double* out,
                       std::size_t begin, std::size_t end) {
@@ -307,11 +242,6 @@ void mahalanobis_avx2_rows(const BatchView& batch, const double* mu,
        // still link.
 
 namespace linalg::simd {
-
-void euclidean_avx2(const BatchView& batch, const double* mu, double* out,
-                    std::size_t begin, std::size_t end) {
-  euclidean_scalar(batch, mu, out, begin, end);
-}
 
 void mahalanobis_avx2(const BatchView& batch, const double* mu,
                       const double* inv_cov, double* dscratch, double* out,

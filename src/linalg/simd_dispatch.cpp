@@ -20,15 +20,6 @@ bool env_force_scalar() {
 
 }  // namespace
 
-const char* to_string(Backend backend) {
-  switch (backend) {
-    case Backend::kAuto: return "auto";
-    case Backend::kScalar: return "scalar";
-    case Backend::kAvx2: return "avx2";
-  }
-  return "unknown";
-}
-
 bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") != 0;

@@ -20,8 +20,6 @@ enum class Backend {
   kAvx2,    // 4-wide double kernels; falls back to kScalar off-AVX2 CPUs
 };
 
-const char* to_string(Backend backend);
-
 /// True when the executing CPU supports AVX2.
 bool cpu_has_avx2();
 

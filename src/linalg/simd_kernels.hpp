@@ -1,5 +1,12 @@
 // Batched distance kernels over structure-of-arrays feature batches.
 //
+// Mahalanobis (the paper's metric, Algorithm 3, and the only one the
+// serving paths and the benchmark score) has scalar and AVX2 kernels.
+// Euclidean (Tables 4.1/4.2) has the scalar kernel only: the paper's
+// Euclidean results run through vprofile::detect, and no shipped run
+// serves a Euclidean model through BatchScorer, so an AVX2 Euclidean
+// kernel would be code that only its own differential test reaches.
+//
 // Layout contract: a batch of `count` edge sets of dimension `dim` is
 // stored transposed, soa[i * stride + e] = feature i of edge e, with
 // stride >= count (the scorer pads stride to a multiple of the SIMD width
@@ -11,9 +18,10 @@
 // exact floating-point operation sequence of the one-at-a-time reference
 // (linalg::euclidean_distance / mahalanobis_distance_inv): left-to-right
 // accumulation, no reassociation, no FMA contraction (these translation
-// units build with -ffp-contract=off).  The AVX2 kernels run the same
-// sequence with one edge per lane, so every backend produces bit-identical
-// doubles.  tests/test_simd_differential.cpp enforces this.
+// units build with -ffp-contract=off).  The AVX2 Mahalanobis kernels run
+// the same sequence with one edge (or one inverse row) per lane, so every
+// backend produces bit-identical doubles.
+// tests/test_simd_differential.cpp enforces this.
 #pragma once
 
 #include <cstddef>
@@ -39,13 +47,11 @@ void mahalanobis_scalar(const BatchView& batch, const double* mu,
                         const double* inv_cov, double* dscratch, double* out,
                         std::size_t begin, std::size_t end);
 
-/// AVX2 variants; [begin, end) must be 4-aligned in length and begin.
-/// `dscratch` must hold >= dim * 16 doubles (the kernels process up to
+/// AVX2 variant; [begin, end) must be 4-aligned in length and begin.
+/// `dscratch` must hold >= dim * 16 doubles (the kernel processes up to
 /// four quads per pass where the range allows it).  Only call when
-/// simd::resolve(...) chose Backend::kAvx2 — the implementations are
+/// simd::resolve(...) chose Backend::kAvx2 — the implementation is
 /// compiled with -mavx2 and must not run on CPUs without it.
-void euclidean_avx2(const BatchView& batch, const double* mu, double* out,
-                    std::size_t begin, std::size_t end);
 void mahalanobis_avx2(const BatchView& batch, const double* mu,
                       const double* inv_cov, double* dscratch, double* out,
                       std::size_t begin, std::size_t end);

@@ -14,13 +14,6 @@ void require_same_size(const Vector& a, const Vector& b, const char* what) {
 
 }  // namespace
 
-Vector add(const Vector& a, const Vector& b) {
-  require_same_size(a, b, "linalg::add");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
 Vector subtract(const Vector& a, const Vector& b) {
   require_same_size(a, b, "linalg::subtract");
   Vector out(a.size());
@@ -40,8 +33,6 @@ double dot(const Vector& a, const Vector& b) {
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
 }
-
-double norm(const Vector& a) { return std::sqrt(dot(a, a)); }
 
 double euclidean_distance(const Vector& a, const Vector& b) {
   require_same_size(a, b, "linalg::euclidean_distance");

@@ -12,16 +12,13 @@ namespace linalg {
 
 using Vector = std::vector<double>;
 
-/// Element-wise sum; throws std::invalid_argument on size mismatch.
-Vector add(const Vector& a, const Vector& b);
-/// Element-wise difference a - b; throws on size mismatch.
+/// Element-wise difference a - b; throws std::invalid_argument on size
+/// mismatch.
 Vector subtract(const Vector& a, const Vector& b);
 /// Scalar multiple.
 Vector scale(const Vector& a, double k);
 /// Inner product; throws on size mismatch.
 double dot(const Vector& a, const Vector& b);
-/// L2 norm.
-double norm(const Vector& a);
 /// Euclidean distance between two points (Eq 2.1); throws on size mismatch.
 double euclidean_distance(const Vector& a, const Vector& b);
 /// Element-wise mean of a non-empty set of equal-length vectors; throws on

@@ -87,7 +87,6 @@ class Histogram {
 
   void observe(std::uint64_t value);
   HistogramSnapshot snapshot() const;
-  const std::vector<std::uint64_t>& bounds() const { return bounds_; }
 
  private:
   std::vector<std::uint64_t> bounds_;

@@ -198,7 +198,6 @@ void StatusServer::serve_one(int client_fd) {
     resp = dispatch(path);
   }
 
-  served_.fetch_add(1, std::memory_order_relaxed);
   if (requests_counter_ != nullptr) requests_counter_->add();
 
   std::string head = "HTTP/1.0 " + std::to_string(resp.status) + " " +

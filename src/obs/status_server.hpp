@@ -79,10 +79,6 @@ class StatusServer {
   /// Stops accepting, closes the socket, joins the thread.  Idempotent.
   void stop();
 
-  std::uint64_t requests_served() const {
-    return served_.load(std::memory_order_relaxed);
-  }
-
  private:
   void serve_loop();
   StatusResponse dispatch(const std::string& path) const;
@@ -93,7 +89,6 @@ class StatusServer {
   std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> served_{0};
   std::uint32_t io_timeout_ms_ = 2000;
   Counter* requests_counter_ = nullptr;
   std::thread thread_;

@@ -281,20 +281,4 @@ void DetectionPipeline::worker_loop() {
   }
 }
 
-std::vector<FrameResult> score_sequential(
-    const vprofile::Model& model, const std::vector<dsp::Trace>& traces,
-    const vprofile::DetectionConfig& dc) {
-  std::vector<FrameResult> results(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    FrameResult& r = results[i];
-    r.seq = i;
-    auto edge_set = vprofile::extract_edge_set(traces[i], model.extraction(),
-                                               &r.extract_error);
-    if (!edge_set) continue;
-    r.sa = edge_set->sa;
-    r.detection = vprofile::detect(model, *edge_set, dc);
-  }
-  return results;
-}
-
 }  // namespace pipeline

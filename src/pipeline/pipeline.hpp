@@ -254,11 +254,4 @@ class DetectionPipeline {
   bool finished_ = false;
 };
 
-/// Reference single-threaded scoring of a whole batch — the equivalence
-/// oracle for the pipeline.
-/// Produces exactly the FrameResult stream a 1..N-worker pipeline emits.
-std::vector<FrameResult> score_sequential(const vprofile::Model& model,
-                                          const std::vector<dsp::Trace>& traces,
-                                          const vprofile::DetectionConfig& dc);
-
 }  // namespace pipeline

@@ -75,9 +75,7 @@ bool CheckpointStore::commit(const vprofile::Model& model,
       return false;
     }
   }
-  if (!io::atomic_write_file(current, payload.str(), error)) return false;
-  ++commits_;
-  return true;
+  return io::atomic_write_file(current, payload.str(), error);
 }
 
 CheckpointStore::LoadResult CheckpointStore::load() const {

@@ -46,14 +46,11 @@ class CheckpointStore {
   /// True when either checkpoint file exists on disk.
   bool has_checkpoint() const;
 
-  std::uint64_t commits() const { return commits_; }
-  const std::string& directory() const { return directory_; }
   std::string current_path() const;
   std::string previous_path() const;
 
  private:
   std::string directory_;
-  std::uint64_t commits_ = 0;
 };
 
 }  // namespace runtime

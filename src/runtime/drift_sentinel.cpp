@@ -43,9 +43,4 @@ void DriftSentinel::reset_all() {
   for (std::size_t c = 0; c < state_.size(); ++c) reset(c);
 }
 
-double DriftSentinel::statistic(std::size_t cluster) const {
-  const ClusterState& s = state_[cluster];
-  return s.cumulative - s.cumulative_min;
-}
-
 }  // namespace runtime

@@ -55,9 +55,6 @@ class DriftSentinel {
   void reset(std::size_t cluster);
   void reset_all();
 
-  bool alarmed(std::size_t cluster) const { return state_[cluster].alarmed; }
-  /// Current excursion m_t - min(m_t); the alarm fires at lambda.
-  double statistic(std::size_t cluster) const;
   std::uint64_t alarms_total() const { return alarms_; }
 
  private:

@@ -40,23 +40,6 @@ std::string Scenario::name() const {
          to_string(attack) + "/" + faults.name + "/" + env_name;
 }
 
-std::uint64_t ScenarioMetrics::fingerprint() const {
-  std::uint64_t h = vprofile::kFnv1aOffset;
-  h = fnv1a_u64(h, confusion.true_positives());
-  h = fnv1a_u64(h, confusion.true_negatives());
-  h = fnv1a_u64(h, confusion.false_positives());
-  h = fnv1a_u64(h, confusion.false_negatives());
-  h = fnv1a_u64(h, extraction_failures);
-  h = fnv1a_u64(h, degraded);
-  for (std::uint64_t a : fault_stats.applied) h = fnv1a_u64(h, a);
-  h = fnv1a_u64(h, fault_stats.faulted_traces);
-  h = fnv1a_u64(h, fault_stats.total_traces);
-  for (std::uint64_t e : pipeline_counters.extract_errors) h = fnv1a_u64(h, e);
-  for (std::uint64_t v : pipeline_counters.verdicts) h = fnv1a_u64(h, v);
-  h = fnv1a_u64(h, pipeline_counters.worker_errors);
-  return h;
-}
-
 VehicleConfig scenario_vehicle(const Scenario& scenario) {
   if (scenario.preset == "a") return vehicle_a();
   if (scenario.preset == "b") return vehicle_b();

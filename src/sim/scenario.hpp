@@ -83,11 +83,6 @@ struct ScenarioMetrics {
   faults::FaultStats fault_stats;
   /// Scoring telemetry (per-verdict and per-extract-error counters).
   pipeline::CountersSnapshot pipeline_counters;
-
-  /// Order-independent digest of every count above (not the timings and
-  /// not the queue high-water mark); equal fingerprints <=> identical
-  /// detection outcomes.
-  std::uint64_t fingerprint() const;
 };
 
 /// A scenario's outcome: metrics, or a training failure diagnosis.
@@ -132,10 +127,9 @@ class ScenarioRunner {
   ScenarioResult run(const Scenario& scenario);
 
   /// Attach observability to every subsequent run(): training fits, fault
-  /// activations and pipeline stages all report into these sinks.  The
-  /// metrics fingerprint() covers is untouched — scenario outcomes stay
-  /// bit-identical (tests/test_obs.cpp holds this against the golden
-  /// matrix).  Null detaches; sinks must outlive the runner.
+  /// activations and pipeline stages all report into these sinks.
+  /// ScenarioMetrics is untouched — scenario outcomes stay bit-identical
+  /// (tests/test_obs.cpp holds this against the golden matrix).  Null detaches; sinks must outlive the runner.
   void set_observability(obs::MetricsRegistry* metrics, obs::Tracer* tracer);
 
   /// The model a scenario's training key resolves to, trained on first use

@@ -11,10 +11,6 @@ namespace stats {
 struct ConfidenceInterval {
   double mean = 0.0;
   double half_width = 0.0;
-
-  double lower() const { return mean - half_width; }
-  double upper() const { return mean + half_width; }
-  bool contains(double x) const { return x >= lower() && x <= upper(); }
 };
 
 /// Two-sided standard-normal quantile z such that P(|Z| <= z) = confidence.

@@ -41,11 +41,6 @@ class Rng {
     return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(engine_);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t between(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
-  }
-
   /// Derives an independent child generator; used to give each subsystem
   /// its own stream so adding draws in one place does not perturb another.
   Rng fork() { return Rng(engine_() ^ 0x9e3779b97f4a7c15ULL); }

@@ -6,13 +6,6 @@
 namespace stats {
 
 void Welford::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);

@@ -21,15 +21,11 @@ class Welford {
   double sample_variance() const;
   double stddev() const;
   double sample_stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Element-wise running mean / variance over fixed-length vectors.

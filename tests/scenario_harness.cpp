@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "analog/environment.hpp"
+#include "core/fnv1a.hpp"
 
 namespace harness {
 namespace {
@@ -216,6 +217,26 @@ std::vector<ScenarioCase> default_scenario_matrix() {
   return matrix;
 }
 
+std::uint64_t fingerprint(const sim::ScenarioMetrics& m) {
+  using vprofile::fnv1a_u64;
+  std::uint64_t h = vprofile::kFnv1aOffset;
+  h = fnv1a_u64(h, m.confusion.true_positives());
+  h = fnv1a_u64(h, m.confusion.true_negatives());
+  h = fnv1a_u64(h, m.confusion.false_positives());
+  h = fnv1a_u64(h, m.confusion.false_negatives());
+  h = fnv1a_u64(h, m.extraction_failures);
+  h = fnv1a_u64(h, m.degraded);
+  for (std::uint64_t a : m.fault_stats.applied) h = fnv1a_u64(h, a);
+  h = fnv1a_u64(h, m.fault_stats.faulted_traces);
+  h = fnv1a_u64(h, m.fault_stats.total_traces);
+  for (std::uint64_t e : m.pipeline_counters.extract_errors) {
+    h = fnv1a_u64(h, e);
+  }
+  for (std::uint64_t v : m.pipeline_counters.verdicts) h = fnv1a_u64(h, v);
+  h = fnv1a_u64(h, m.pipeline_counters.worker_errors);
+  return h;
+}
+
 std::string describe(const sim::ScenarioMetrics& m) {
   std::ostringstream os;
   os << "tp=" << m.confusion.true_positives()
@@ -232,7 +253,7 @@ std::string describe(const sim::ScenarioMetrics& m) {
   }
   os << "] faulted_traces=" << m.fault_stats.faulted_traces << '/'
      << m.fault_stats.total_traces
-     << " fingerprint=" << m.fingerprint();
+     << " fingerprint=" << fingerprint(m);
   return os.str();
 }
 

@@ -43,6 +43,11 @@ struct ScenarioCase {
 /// {vehicle preset} x {attack} x {fault profile} x {environment}.
 std::vector<ScenarioCase> default_scenario_matrix();
 
+/// Order-independent digest of every count in `metrics` (not the timings
+/// and not the queue high-water mark); equal fingerprints <=> identical
+/// detection outcomes.  The matrix goldens are pinned on it.
+std::uint64_t fingerprint(const sim::ScenarioMetrics& metrics);
+
 /// Human-readable one-line summary of a scenario's metrics (logged on
 /// failure so regressions are diagnosable from CI output alone).
 std::string describe(const sim::ScenarioMetrics& metrics);

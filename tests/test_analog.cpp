@@ -226,39 +226,6 @@ TEST(Signature, TemperatureScalesEdgeFrequency) {
               sig.drive.natural_freq_hz * 0.98, 1.0);
 }
 
-TEST(Signature, ParameterDistanceZeroForIdentical) {
-  const EcuSignature sig = quiet_signature();
-  EXPECT_DOUBLE_EQ(sig.parameter_distance(sig), 0.0);
-  EcuSignature other = sig;
-  other.dominant += units::Volts{0.05};
-  EXPECT_GT(sig.parameter_distance(other), 0.0);
-}
-
-TEST(Signature, PerturbStaysInPhysicalRanges) {
-  stats::Rng rng(7);
-  const EcuSignature nominal = quiet_signature();
-  analog::SignatureSpread spread;
-  spread.damping = 0.5;  // deliberately large to hit the clamps
-  for (int i = 0; i < 200; ++i) {
-    const EcuSignature s = analog::perturb_signature(nominal, spread, rng);
-    EXPECT_GE(s.drive.damping, 0.3);
-    EXPECT_LE(s.drive.damping, 0.97);
-    EXPECT_GE(s.release.damping, 0.3);
-    EXPECT_LE(s.release.damping, 0.97);
-    EXPECT_GT(s.drive.natural_freq_hz, 0.0);
-    EXPECT_GT(s.noise_sigma.value(), 0.0);
-  }
-}
-
-TEST(Signature, PerturbedSignaturesDiffer) {
-  stats::Rng rng(8);
-  const EcuSignature nominal = quiet_signature();
-  const analog::SignatureSpread spread;
-  const EcuSignature a = analog::perturb_signature(nominal, spread, rng);
-  const EcuSignature b = analog::perturb_signature(nominal, spread, rng);
-  EXPECT_GT(a.parameter_distance(b), 0.0);
-}
-
 TEST(EnvironmentPresets, MatchPaperMeasurements) {
   // §4.4: accessory mode 12.61 V, engine running 13.60 V.
   EXPECT_NEAR(analog::accessory_mode().battery.value(), 12.61, 1e-9);

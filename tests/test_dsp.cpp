@@ -34,7 +34,9 @@ TEST(Adc, RoundTripWithinHalfLsb) {
                      units::Volts{3.0});
   const double lsb = 4.0 / 4095.0;
   for (double v = -0.9; v < 2.9; v += 0.137) {
-    EXPECT_NEAR(adc.to_volts(adc.quantize(v)), v, lsb / 2.0 + 1e-12);
+    // The centre voltage of the code's quantization bin.
+    const double centre = -1.0 + adc.quantize(v) * lsb;
+    EXPECT_NEAR(centre, v, lsb / 2.0 + 1e-12);
   }
 }
 
@@ -51,18 +53,14 @@ TEST(Adc, PaperThresholdLandsMidEdgeFor16Bit) {
 TEST(Adc, LowerResolutionCoarsensCodes) {
   const AdcModel adc16(units::SampleRateHz{10e6}, 16, units::Volts{-1.0},
                        units::Volts{3.0});
-  const AdcModel adc8 = adc16.with_resolution(8);
+  const AdcModel adc8(units::SampleRateHz{10e6}, 8, units::Volts{-1.0},
+                      units::Volts{3.0});
   EXPECT_EQ(adc8.max_code(), 255u);
   EXPECT_EQ(adc8.resolution_bits(), 8);
-  EXPECT_DOUBLE_EQ(adc8.v_min().value(), adc16.v_min().value());
-}
-
-TEST(Adc, WithSampleRateKeepsRange) {
-  const AdcModel adc(units::SampleRateHz{10e6}, 12, units::Volts{-1.0},
-                     units::Volts{3.0});
-  const AdcModel fast = adc.with_sample_rate(units::SampleRateHz{20e6});
-  EXPECT_DOUBLE_EQ(fast.sample_rate().value(), 20e6);
-  EXPECT_EQ(fast.resolution_bits(), 12);
+  // Two voltages 1 mV apart land on distinct 16-bit codes (one 16-bit
+  // LSB is 61 uV) but share one 8-bit code (one LSB is 15.7 mV).
+  EXPECT_NE(adc16.quantize(0.5), adc16.quantize(0.501));
+  EXPECT_EQ(adc8.quantize(0.5), adc8.quantize(0.501));
 }
 
 TEST(Adc, ValidatesConstruction) {
@@ -201,10 +199,9 @@ TEST(Fir, ValidatesParameters) {
 }
 
 TEST(Fir, TapsSumToUnity) {
+  // Unity DC gain: a constant input passes through unchanged.
   const dsp::FirLowPass lp(1e6, 10e6, 21);
-  double sum = 0.0;
-  for (double t : lp.taps()) sum += t;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
+  for (double v : lp.apply(Trace(64, 1.0))) EXPECT_NEAR(v, 1.0, 1e-12);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "sim/attack.hpp"
 #include "sim/presets.hpp"
 #include "sim/vehicle.hpp"
+#include "oracles.hpp"
 
 namespace {
 
@@ -148,7 +149,7 @@ TEST(PipelineEquivalence, MatchesSequentialAcrossSeedsAndVehicles) {
     ASSERT_TRUE(f.model.has_value());
     const vprofile::DetectionConfig dc{0.5};
     const auto sequential =
-        pipeline::score_sequential(*f.model, f.traces, dc);
+        oracle::score_sequential(*f.model, f.traces, dc);
     const auto parallel = run_pipeline(*f.model, f.traces, dc, 4);
     expect_identical(sequential, parallel);
     // Sequence numbers are dense and in capture order.
@@ -262,7 +263,7 @@ TEST(PipelineRobustness, ThrowingStageCostsOneFrameNotTheWorker) {
   Fixture f = make_fixture(sim::vehicle_a(), 11, 900, 120);
   ASSERT_TRUE(f.model.has_value());
   const vprofile::DetectionConfig dc;
-  const auto reference = pipeline::score_sequential(*f.model, f.traces, dc);
+  const auto reference = oracle::score_sequential(*f.model, f.traces, dc);
 
   for (const std::size_t workers : {1u, 4u}) {
     PipelineConfig pc;
@@ -310,7 +311,7 @@ TEST(PipelineRobustness, KeepEdgeSetRetainsScoredEdgeSets) {
   Fixture f = make_fixture(sim::vehicle_a(), 12, 900, 60);
   ASSERT_TRUE(f.model.has_value());
   const vprofile::DetectionConfig dc;
-  const auto reference = pipeline::score_sequential(*f.model, f.traces, dc);
+  const auto reference = oracle::score_sequential(*f.model, f.traces, dc);
 
   PipelineConfig pc;
   pc.num_workers = 2;

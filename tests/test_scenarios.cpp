@@ -76,8 +76,8 @@ TEST(ScenarioMatrix, CleanTrafficMatchesPreGatingDetector) {
                 without_gate.metrics.confusion.false_positives());
       EXPECT_EQ(with_gate.metrics.confusion.false_negatives(),
                 without_gate.metrics.confusion.false_negatives());
-      EXPECT_EQ(with_gate.metrics.fingerprint(),
-                without_gate.metrics.fingerprint());
+      EXPECT_EQ(harness::fingerprint(with_gate.metrics),
+                harness::fingerprint(without_gate.metrics));
     }
   }
 }
@@ -115,10 +115,9 @@ TEST(ScenarioMatrix, MeetsGoldenBounds) {
     EXPECT_GE(m.degraded, c.min_degraded);
     EXPECT_LE(m.degraded, c.max_degraded);
     if (c.expect_faults) {
-      EXPECT_GT(m.fault_stats.applied_total(), 0u);
       EXPECT_GT(m.fault_stats.faulted_traces, 0u);
     } else {
-      EXPECT_EQ(m.fault_stats.applied_total(), 0u);
+      EXPECT_EQ(m.fault_stats.faulted_traces, 0u);
     }
   }
 }
@@ -138,7 +137,7 @@ TEST(ScenarioMatrix, DeterministicAcrossRunnersAndExecutionOrder) {
     first_prints[c.scenario.name() + "/" +
                  std::to_string(c.scenario.overdrive) + "/" +
                  std::to_string(c.scenario.margin)] =
-        r.metrics.fingerprint();
+        harness::fingerprint(r.metrics);
   }
   for (const ScenarioCase& c : reverse) {
     ScenarioResult r = second.run(c.scenario);
@@ -146,7 +145,7 @@ TEST(ScenarioMatrix, DeterministicAcrossRunnersAndExecutionOrder) {
     const std::string key = c.scenario.name() + "/" +
                             std::to_string(c.scenario.overdrive) + "/" +
                             std::to_string(c.scenario.margin);
-    EXPECT_EQ(r.metrics.fingerprint(), first_prints.at(key))
+    EXPECT_EQ(harness::fingerprint(r.metrics), first_prints.at(key))
         << c.scenario.name();
   }
 }
@@ -175,7 +174,7 @@ TEST(ScenarioMatrix, FingerprintsIdenticalUnderBothDispatchPaths) {
     scalar_prints[c.scenario.name() + "/" +
                   std::to_string(c.scenario.overdrive) + "/" +
                   std::to_string(c.scenario.margin)] =
-        r.metrics.fingerprint();
+        harness::fingerprint(r.metrics);
   }
 
   linalg::simd::set_force_scalar_override(0);
@@ -186,7 +185,7 @@ TEST(ScenarioMatrix, FingerprintsIdenticalUnderBothDispatchPaths) {
     const std::string key = c.scenario.name() + "/" +
                             std::to_string(c.scenario.overdrive) + "/" +
                             std::to_string(c.scenario.margin);
-    EXPECT_EQ(r.metrics.fingerprint(), scalar_prints.at(key))
+    EXPECT_EQ(harness::fingerprint(r.metrics), scalar_prints.at(key))
         << c.scenario.name() << ": scalar and AVX2 dispatch disagree";
   }
 }
@@ -200,7 +199,8 @@ TEST(ScenarioMatrix, DifferentSeedsDiverge) {
   const ScenarioResult ra = a.run(s);
   const ScenarioResult rb = b.run(s);
   ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_NE(ra.metrics.fingerprint(), rb.metrics.fingerprint());
+  EXPECT_NE(harness::fingerprint(ra.metrics),
+            harness::fingerprint(rb.metrics));
 }
 
 // Nastier than any canned profile: every fault at probability 1 with

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -39,13 +41,29 @@ TEST(Presets, VehicleASasAreUniquePerEcu) {
 }
 
 TEST(Presets, VehicleBProfilesAreCloserThanVehicleA) {
-  // The design premise: Vehicle B's signatures are less distinct.
-  auto min_pairwise = [](const VehicleConfig& cfg) {
+  // The design premise: Vehicle B's signatures are less distinct.  The
+  // dissimilarity is a crude normalized distance over the levels and the
+  // edge dynamics (detection itself never sees these parameters).
+  auto parameter_distance = [](const analog::EcuSignature& a,
+                               const analog::EcuSignature& b) {
+    const double dl = (a.dominant - b.dominant).value() / 0.1;
+    const double dr = (a.recessive - b.recessive).value() / 0.02;
+    const double df = (a.drive.natural_freq_hz - b.drive.natural_freq_hz) /
+                      (0.2 * a.drive.natural_freq_hz);
+    const double dz = (a.drive.damping - b.drive.damping) / 0.1;
+    const double dff =
+        (a.release.natural_freq_hz - b.release.natural_freq_hz) /
+        (0.2 * a.release.natural_freq_hz);
+    const double dzz = (a.release.damping - b.release.damping) / 0.1;
+    return std::sqrt(dl * dl + dr * dr + df * df + dz * dz + dff * dff +
+                     dzz * dzz);
+  };
+  auto min_pairwise = [&](const VehicleConfig& cfg) {
     double best = 1e300;
     for (std::size_t i = 0; i < cfg.ecus.size(); ++i) {
       for (std::size_t j = i + 1; j < cfg.ecus.size(); ++j) {
-        best = std::min(best, cfg.ecus[i].signature.parameter_distance(
-                                  cfg.ecus[j].signature));
+        best = std::min(best, parameter_distance(cfg.ecus[i].signature,
+                                                 cfg.ecus[j].signature));
       }
     }
     return best;

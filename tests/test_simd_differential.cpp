@@ -3,10 +3,11 @@
 // The contract under test (core/batch_scorer.hpp, linalg/simd_kernels.hpp):
 //   * scalar batch kernels are bit-identical to the one-frame reference
 //     (linalg::euclidean_distance / mahalanobis_distance_inv / detect()),
-//   * the AVX2 kernels are bit-identical to the scalar kernels, in every
-//     batch size and [body|tail] split the dispatcher produces — the
-//     one-frame row kernel included, at the shipped dims and every
-//     residue mod 4,
+//   * the AVX2 Mahalanobis kernels are bit-identical to the scalar
+//     kernel, in every batch size and [body|tail] split the dispatcher
+//     produces — the one-frame row kernel included, at the shipped dims
+//     and every residue mod 4 (Euclidean batches are scalar on every
+//     backend),
 //   * batch-of-one scoring (the lockstep serving path) is bit-identical
 //     to detect() on trained vehicle A and B models,
 //   * the 12-bit feature quantizer behind the frontier's fixed-point arm
@@ -33,6 +34,7 @@
 #include "linalg/mahalanobis.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/simd_kernels.hpp"
+#include "oracles.hpp"
 #include "sim/attack.hpp"
 #include "sim/presets.hpp"
 #include "sim/vehicle.hpp"
@@ -64,14 +66,6 @@ using vprofile::ScoringPlan;
 /// call), 64 (many 16-edge blocks).
 const std::size_t kBatchSizes[] = {1, 3, 4, 5, 7, 13, 29, 64};
 
-bool same_detection(const Detection& a, const Detection& b) {
-  return a.verdict == b.verdict && a.expected_cluster == b.expected_cluster &&
-         a.predicted_cluster == b.predicted_cluster &&
-         stats::ulp_distance(a.min_distance, b.min_distance) == 0 &&
-         stats::ulp_distance(a.confidence, b.confidence) == 0 &&
-         a.unreliable_samples == b.unreliable_samples;
-}
-
 void expect_same_detection(const Detection& a, const Detection& b,
                            const std::string& context) {
   EXPECT_EQ(a.verdict, b.verdict) << context;
@@ -92,7 +86,7 @@ std::pair<Matrix, Matrix> random_spd(std::size_t dim, stats::Rng& rng) {
   for (std::size_t r = 0; r < dim; ++r) {
     for (std::size_t c = 0; c < dim; ++c) b.at(r, c) = rng.gaussian(0.0, 1.0);
   }
-  Matrix spd = b.transpose() * b;
+  Matrix spd = oracle::matmul(b.transpose(), b);
   spd.add_ridge(0.5);
   auto chol = linalg::Cholesky::factorize(spd);
   EXPECT_TRUE(chol.has_value());
@@ -178,21 +172,6 @@ TEST(SimdKernels, Avx2MatchesScalarBitwiseIncludingTailSplit) {
     std::vector<double> expected(batch.stride, -1.0);
     std::vector<double> got(batch.stride, -2.0);
     const std::size_t body = n & ~std::size_t{3};
-
-    linalg::simd::euclidean_scalar(batch.view(), mu.data(), expected.data(),
-                                   0, n);
-    if (body > 0) {
-      linalg::simd::euclidean_avx2(batch.view(), mu.data(), got.data(), 0,
-                                   body);
-    }
-    if (body < n) {
-      linalg::simd::euclidean_scalar(batch.view(), mu.data(), got.data(),
-                                     body, n);
-    }
-    for (std::size_t e = 0; e < n; ++e) {
-      EXPECT_BITEQ(got[e], expected[e]) << "euclidean n=" << n << " e=" << e;
-    }
-
     linalg::simd::mahalanobis_scalar(batch.view(), mu.data(),
                                      inv.data().data(), dscratch.data(),
                                      expected.data(), 0, n);
@@ -528,19 +507,6 @@ TEST(UlpDistance, CountsRepresentableSteps) {
 // ---------------------------------------------------------------------------
 // Pipeline level: the batched worker is still the sequential oracle.
 // ---------------------------------------------------------------------------
-
-TEST(BatchScorerVector, ConvenienceOverloadMatchesPointerForm) {
-  DifferentialFixture f(DistanceMetric::kMahalanobis, 0xD1FF0006);
-  const ScoringPlan plan(*f.model, Backend::kScalar);
-  BatchScorer scorer(plan);
-  const DetectionConfig dc = plain_config();
-  const auto via_vector = scorer.detect(f.stream, dc);
-  const auto oracle = oracle_detections(*f.model, f.stream, dc);
-  ASSERT_EQ(via_vector.size(), oracle.size());
-  for (std::size_t i = 0; i < via_vector.size(); ++i) {
-    EXPECT_TRUE(same_detection(via_vector[i], oracle[i])) << "frame " << i;
-  }
-}
 
 /// Batch-of-one scoring is the lockstep serving path: on trained vehicle A
 /// (dim 66) and B (dim 34) models, every backend's n=1 result must equal

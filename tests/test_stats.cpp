@@ -34,15 +34,6 @@ TEST(Welford, MeanAndVarianceMatchDirectComputation) {
               var / static_cast<double>(xs.size() - 1), 1e-12);
 }
 
-TEST(Welford, TracksMinAndMax) {
-  Welford acc;
-  acc.add(3.0);
-  acc.add(-7.0);
-  acc.add(11.0);
-  EXPECT_DOUBLE_EQ(acc.min(), -7.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 11.0);
-}
-
 TEST(Welford, SingleSampleHasZeroVariance) {
   Welford acc;
   acc.add(5.0);
@@ -157,7 +148,8 @@ TEST(Interval, MeanCiCoversTrueMeanMostOfTheTime) {
   for (int t = 0; t < trials; ++t) {
     std::vector<double> xs(50);
     for (double& x : xs) x = n(gen);
-    if (stats::mean_confidence_interval(xs, 0.99).contains(0.0)) ++covered;
+    const auto ci = stats::mean_confidence_interval(xs, 0.99);
+    if (std::fabs(ci.mean) <= ci.half_width) ++covered;
   }
   EXPECT_GE(covered, trials * 95 / 100);
 }
@@ -207,21 +199,6 @@ TEST(RngTest, BelowStaysInRange) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.below(7), 7u);
   }
-}
-
-TEST(RngTest, BetweenIsInclusive) {
-  Rng rng(5);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.between(-1, 1);
-    EXPECT_GE(v, -1);
-    EXPECT_LE(v, 1);
-    saw_lo |= (v == -1);
-    saw_hi |= (v == 1);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
 }
 
 TEST(RngTest, BernoulliFrequencyApproximatesP) {

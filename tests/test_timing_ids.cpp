@@ -37,8 +37,9 @@ TEST(ClockSkew, TrainsOnCleanStream) {
   std::string error;
   ASSERT_TRUE(ids.train(make_stream(1, 0.1, 50.0, 1e-4, 200, rng), &error))
       << error;
-  EXPECT_TRUE(ids.skew_of(1).has_value());
-  EXPECT_FALSE(ids.skew_of(2).has_value());
+  // The trained SA is scored; an SA absent from training is not.
+  EXPECT_NE(ids.observe({0.0, 1}), ClockSkewIds::Verdict::kUnknownSa);
+  EXPECT_EQ(ids.observe({0.0, 2}), ClockSkewIds::Verdict::kUnknownSa);
 }
 
 TEST(ClockSkew, RejectsTooFewMessages) {

@@ -5,6 +5,7 @@
 #include "core/trainer.hpp"
 #include "linalg/mahalanobis.hpp"
 #include "stats/rng.hpp"
+#include "oracles.hpp"
 
 namespace {
 
@@ -81,9 +82,10 @@ TEST(TrainWithDatabase, ClusterStatisticsAreSane) {
     const double level = (cl.name == "A") ? 100.0 : 200.0;
     for (double v : cl.mean) EXPECT_NEAR(v, level, 1.0);
     // Inverse covariance actually inverts the covariance.
-    const auto prod = cl.covariance * cl.inv_covariance;
-    EXPECT_LT(prod.max_abs_diff(linalg::Matrix::identity(prod.rows())),
-              1e-6);
+    const auto prod = oracle::matmul(cl.covariance, cl.inv_covariance);
+    EXPECT_LT(
+        oracle::max_abs_diff(prod, linalg::Matrix::identity(prod.rows())),
+        1e-6);
   }
 }
 

@@ -25,6 +25,12 @@
 // periodic crash-safe model checkpoints (--checkpoint-dir /
 // --checkpoint-every).  SIGINT/SIGTERM stop intake cleanly: the final
 // checkpoint commits and the telemetry artifacts are still written.
+// When --checkpoint-dir already holds a checkpoint, the monitor resumes:
+// it serves the newest intact checkpoint (or last-good when the newest is
+// corrupt) instead of training, and records the file in the manifest.
+// Skipping training leaves the vehicle's random stream earlier, so a
+// resumed run scores different traffic than a fresh run with the same
+// seed, and its incident bundles do not replay from the seed.
 //
 // Introspection: the supervisor always carries a flight recorder
 // (evidence ring + freeze-on-trigger incident bundles; bundles land in
@@ -40,6 +46,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +60,7 @@
 #include "obs/metrics.hpp"
 #include "obs/status_server.hpp"
 #include "obs/trace_span.hpp"
+#include "runtime/checkpoint.hpp"
 #include "runtime/supervisor.hpp"
 #include "sim/attack.hpp"
 #include "sim/presets.hpp"
@@ -104,7 +112,9 @@ void usage() {
       "  --metrics-out writes Prometheus text exposition at exit\n"
       "  --jsonl-out writes the metrics as a JSONL event stream\n"
       "  --trace-out writes Chrome trace_event JSON (chrome://tracing)\n"
-      "  --checkpoint-dir enables crash-safe model checkpoints there\n"
+      "  --checkpoint-dir enables crash-safe model checkpoints there; when\n"
+      "  it already holds one, the monitor resumes from it instead of\n"
+      "  training\n"
       "  --checkpoint-every N commits a checkpoint every N scored frames\n"
       "  --status-port N serves /metrics /healthz /statusz /incident/<id>\n"
       "  on 127.0.0.1 (0 = ephemeral)\n"
@@ -238,19 +248,38 @@ int main(int argc, char** argv) {
   sim::Vehicle vehicle(config, seed);
   const analog::Environment env = analog::Environment::reference();
 
-  std::printf("training on %zu clean messages from %s...\n", train_count,
-              config.name.c_str());
-  vprofile::TrainingConfig tc;
-  tc.metrics = metrics;
-  tc.tracer = trace;
-  const vprofile::TrainOutcome trained =
-      sim::train_on_clean_traffic(vehicle, train_count, env, tc);
-  if (!trained.ok()) {
-    std::fprintf(stderr, "training failed: %s\n", trained.error.c_str());
-    return 1;
+  std::optional<vprofile::Model> served;
+  const runtime::CheckpointStore checkpoints(checkpoint_dir);
+  if (!checkpoint_dir.empty() && checkpoints.has_checkpoint()) {
+    runtime::CheckpointStore::LoadResult loaded = checkpoints.load();
+    if (!loaded.model) {
+      std::fprintf(stderr, "cannot resume from %s: %s\n",
+                   checkpoint_dir.c_str(), loaded.error.c_str());
+      return 1;
+    }
+    const std::string path = loaded.recovered_last_good
+                                 ? checkpoints.previous_path()
+                                 : checkpoints.current_path();
+    std::printf("resumed from %s (%s checkpoint)\n", path.c_str(),
+                loaded.recovered_last_good ? "last-good" : "current");
+    manifest.config.emplace_back("resumed_from", path);
+    served = std::move(loaded.model);
+  } else {
+    std::printf("training on %zu clean messages from %s...\n", train_count,
+                config.name.c_str());
+    vprofile::TrainingConfig tc;
+    tc.metrics = metrics;
+    tc.tracer = trace;
+    vprofile::TrainOutcome trained =
+        sim::train_on_clean_traffic(vehicle, train_count, env, tc);
+    if (!trained.ok()) {
+      std::fprintf(stderr, "training failed: %s\n", trained.error.c_str());
+      return 1;
+    }
+    served = std::move(trained.model);
   }
-  std::printf("model: %zu clusters, dim %zu\n",
-              trained.model->clusters().size(), trained.model->dimension());
+  std::printf("model: %zu clusters, dim %zu\n", served->clusters().size(),
+              served->dimension());
 
   // Live stream with hijack attacks mixed in.  Synthesis is the
   // expensive phase; skip it when a stop signal already arrived.
@@ -281,7 +310,7 @@ int main(int argc, char** argv) {
   std::size_t extraction_failures = 0;
   std::size_t degraded = 0;
   std::size_t sink_seen = 0;
-  const vprofile::Model& model = *trained.model;
+  const vprofile::Model& model = *served;
 
   // Verdict accounting, in capture order; `actual` is the frame's attack
   // label.

@@ -17,7 +17,9 @@
 //
 // Records from promoted model generations (> 0) are skipped: online
 // retraining folds live traffic the bundle does not carry, so only the
-// trained-from-seed generation is reproducible offline.
+// trained-from-seed generation is reproducible offline.  For the same
+// reason a bundle from a monitor run that resumed from a checkpoint
+// (manifest config "resumed_from") is refused with exit 2.
 //
 // Exit codes: 0 = every verifiable record reproduced bit-identically;
 // 1 = at least one mismatch; 2 = unusable bundle / usage error.
@@ -157,6 +159,12 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = need_u64(seeds, "seed", "manifest.seeds");
   if ((vehicle_name != "a" && vehicle_name != "b") || train_count == 0) {
     std::fprintf(stderr, "bundle: unreplayable manifest config\n");
+    return 2;
+  }
+  if (io::json::get(config, "resumed_from") != nullptr) {
+    std::fprintf(stderr,
+                 "bundle: the run resumed from a checkpoint, so its model "
+                 "does not retrain from the seed\n");
     return 2;
   }
 
