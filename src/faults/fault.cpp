@@ -130,7 +130,12 @@ dsp::Trace apply_clipping(const dsp::Trace& trace, const ClippingFault& f,
   const double high = f.level_fraction * max_code;
   const double low = f.symmetric ? (1.0 - f.level_fraction) * max_code : 0.0;
   dsp::Trace out = trace;
-  for (double& c : out) c = std::clamp(c, low, high);
+  // std::min(std::max(c, low), high), not std::clamp: the band may be
+  // inverted (see ClippingFault), which breaks std::clamp's precondition.
+  for (double& c : out) {
+    const double floored = c < low ? low : c;
+    c = high < floored ? high : floored;
+  }
   return out;
 }
 

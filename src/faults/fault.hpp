@@ -56,7 +56,11 @@ const char* to_string(FaultKind kind);
 /// its own probability; a probability of 0 disables it.
 
 /// Clamp codes above `level_fraction` of full scale (and below
-/// `(1 - level_fraction)` of full scale when `symmetric`).
+/// `(1 - level_fraction)` of full scale when `symmetric`).  A symmetric
+/// fault with `level_fraction < 0.5` has an inverted band, its upper
+/// level below its lower one: every sample is then raised to the lower
+/// level and cut to the upper, so the trace comes out flat at
+/// `level_fraction` of full scale (NaN samples stay NaN).
 struct ClippingFault {
   double probability = 0.0;
   double level_fraction = 0.8;

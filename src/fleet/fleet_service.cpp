@@ -21,7 +21,7 @@ using vprofile::kFnv1aOffset;
 constexpr std::uint64_t kTickNsPerFrame = 1'000'000;
 
 /// Pending frames per tenant in threaded mode; beyond this the frame is
-/// dropped and counted (the backstop bulkhead, not the governor).
+/// dropped and counted: the bound that keeps memory finite.
 constexpr std::size_t kTenantQueueCapacity = 1024;
 
 bool is_serving(TenantState state) {
@@ -98,10 +98,6 @@ const char* to_string(IngestResult result) {
   switch (result) {
     case IngestResult::kAccepted:
       return "accepted";
-    case IngestResult::kShedGovernor:
-      return "shed_governor";
-    case IngestResult::kRejectedAdmission:
-      return "rejected_admission";
     case IngestResult::kUnknownTenant:
       return "unknown_tenant";
     case IngestResult::kUnavailable:
@@ -153,13 +149,9 @@ struct FleetService::Tenant {
 
   std::uint64_t frames_offered = 0;
   std::uint64_t frames_accepted = 0;
-  std::uint64_t frames_shed = 0;
   std::uint64_t frames_dropped_unavailable = 0;
   std::uint64_t frames_dropped_queue_full = 0;
   std::uint64_t pending = 0;  // enqueued, not yet executed
-
-  std::uint64_t window_id = 0;
-  std::uint64_t window_count = 0;
 
   std::uint32_t revive_attempts = 0;
   std::uint64_t quarantined_at_offer = 0;
@@ -193,9 +185,6 @@ FleetService::FleetService(FleetConfig config) : config_(std::move(config)) {
   if (config_.metrics != nullptr) {
     auto* m = config_.metrics;
     instruments_.ingested = m->counter("fleet_frames_ingested_total");
-    instruments_.shed = m->counter("fleet_frames_shed_total");
-    instruments_.admission_rejected =
-        m->counter("fleet_admission_rejected_total");
     instruments_.wire_frames = m->counter("fleet_wire_frames_total");
     instruments_.wire_errors = m->counter("fleet_wire_errors_total");
     instruments_.quarantines = m->counter("fleet_quarantines_total");
@@ -296,46 +285,6 @@ FleetService::AdmitOutcome FleetService::admit_locked(Tenant& tenant) {
       }
     }
     return out;
-  }
-
-  // Fleet-level admission governor: a hard cap on accepted frames per
-  // window of offers, whoever they belong to.
-  if (config_.admission_window != 0) {
-    const std::uint64_t wid =
-        (stats_.frames_offered - 1) / config_.admission_window;
-    if (wid != admission_window_id_) {
-      admission_window_id_ = wid;
-      admission_window_count_ = 0;
-    }
-    ++admission_window_count_;
-    if (admission_window_count_ > config_.admission_quota) {
-      ++stats_.admission_rejected;
-      if (instruments_.admission_rejected != nullptr) {
-        instruments_.admission_rejected->add(1);
-      }
-      out.result = IngestResult::kRejectedAdmission;
-      return out;
-    }
-  }
-
-  // Per-tenant governor: a flooding tenant sheds its own excess while its
-  // neighbours keep their quota.  The window is keyed on the fleet offer
-  // counter, so the decision depends only on the arrival sequence.
-  if (config_.tenant.governor_window != 0) {
-    const std::uint64_t wid =
-        (stats_.frames_offered - 1) / config_.tenant.governor_window;
-    if (wid != tenant.window_id) {
-      tenant.window_id = wid;
-      tenant.window_count = 0;
-    }
-    ++tenant.window_count;
-    if (tenant.window_count > config_.tenant.governor_quota) {
-      ++tenant.frames_shed;
-      ++stats_.frames_shed;
-      if (instruments_.shed != nullptr) instruments_.shed->add(1);
-      out.result = IngestResult::kShedGovernor;
-      return out;
-    }
   }
 
   if (config_.threaded && tenant.pending >= kTenantQueueCapacity) {
@@ -739,7 +688,6 @@ TenantSnapshot FleetService::snapshot_locked(const Tenant& tenant) const {
   snap.transport = tenant.transport;
   snap.frames_offered = tenant.frames_offered;
   snap.frames_accepted = tenant.frames_accepted;
-  snap.frames_shed = tenant.frames_shed;
   snap.frames_dropped_unavailable = tenant.frames_dropped_unavailable;
   snap.frames_dropped_queue_full = tenant.frames_dropped_queue_full;
   snap.revive_attempts = tenant.revive_attempts;
@@ -813,8 +761,6 @@ std::string FleetService::statusz_json() const {
   append_kv(out, "tenants", static_cast<std::uint64_t>(snaps.size()));
   append_kv(out, "frames_offered", fleet.frames_offered);
   append_kv(out, "frames_accepted", fleet.frames_accepted);
-  append_kv(out, "frames_shed", fleet.frames_shed);
-  append_kv(out, "admission_rejected", fleet.admission_rejected);
   append_kv(out, "dropped_unavailable", fleet.dropped_unavailable);
   append_kv(out, "dropped_queue_full", fleet.dropped_queue_full);
   append_kv(out, "unknown_tenant_frames", fleet.unknown_tenant_frames);
@@ -840,7 +786,6 @@ std::string FleetService::statusz_json() const {
     append_kv_str(out, "health", runtime::to_string(snap.health));
     append_kv(out, "frames_offered", snap.frames_offered);
     append_kv(out, "frames_accepted", snap.frames_accepted);
-    append_kv(out, "frames_shed", snap.frames_shed);
     append_kv(out, "dropped_unavailable", snap.frames_dropped_unavailable);
     append_kv(out, "dropped_queue_full", snap.frames_dropped_queue_full);
     out += "\"wire\":{";

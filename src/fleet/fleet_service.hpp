@@ -14,19 +14,14 @@
 //    claimed tenant and quarantine it past a threshold; per-tenant
 //    sequence numbers drop duplicate chunks (exactly-once scoring under
 //    at-least-once delivery) and count gaps from reordered/lost chunks.
-//  * Overload governors — a deterministic per-tenant quota over a rolling
-//    window of fleet ingests sheds a flooding tenant's excess while its
-//    neighbours keep their share, and a fleet-level admission governor
-//    caps the aggregate; both decide at ingest() in arrival order, so
-//    shedding is a pure function of the arrival sequence.
 //  * Revival — a quarantined tenant is revived after a frame-counted
 //    backoff from its per-tenant checkpoint directory (last-good fallback
 //    when the newest checkpoint is corrupt), a bounded number of times;
 //    past the budget it is evicted for good.
 //
 // Determinism: supervisors run in lockstep mode on a virtual clock that
-// advances with the tenant's own accepted-frame count, and all shedding /
-// dedup / quarantine decisions happen at ingest() in arrival order.  A
+// advances with the tenant's own accepted-frame count, and all dedup /
+// quarantine decisions happen at ingest() in arrival order.  A
 // fleet run is therefore a pure function of the per-tenant input
 // sequences — per-tenant fingerprints are bit-identical across repeated
 // runs AND across shard counts and threading modes, which is what the
@@ -84,13 +79,9 @@ struct TransportStats {
 struct TenantConfig {
   /// Supervisor template.  checkpoint_dir is overwritten with the
   /// tenant's own directory under FleetConfig::checkpoint_root.  For the
-  /// determinism contract, keep lockstep=true and num_workers=1.
+  /// determinism contract, keep lockstep=true: a lockstep supervisor
+  /// scores inline and never reads pipeline.num_workers.
   runtime::SupervisorConfig supervisor;
-  /// Deterministic overload governor: within each window of
-  /// `governor_window` fleet-offered frames, at most `governor_quota`
-  /// frames per tenant are admitted; the excess is shed.  0 disables.
-  std::size_t governor_window = 0;
-  std::size_t governor_quota = 0;
   /// Wire decode errors attributed to a tenant before it is quarantined.
   /// 0 disables wire-triggered quarantine.
   std::size_t quarantine_decode_errors = 8;
@@ -110,10 +101,6 @@ struct FleetConfig {
   /// Root of the directory-per-tenant checkpoint layout; "" disables
   /// checkpointing fleet-wide.
   std::string checkpoint_root;
-  /// Fleet-level admission governor: at most `admission_quota` accepted
-  /// frames per window of `admission_window` offered frames.  0 disables.
-  std::size_t admission_window = 0;
-  std::size_t admission_quota = 0;
   TenantConfig tenant;
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -121,8 +108,6 @@ struct FleetConfig {
 /// Why ingest() did not forward a frame (kAccepted means it did).
 enum class IngestResult {
   kAccepted,
-  kShedGovernor,        // per-tenant quota exceeded in this window
-  kRejectedAdmission,   // fleet-wide quota exceeded in this window
   kUnknownTenant,
   kUnavailable,         // quarantined / evicted / drained
   kQueueFull,           // threaded-mode backstop
@@ -140,7 +125,6 @@ struct TenantSnapshot {
   TransportStats transport;
   std::uint64_t frames_offered = 0;
   std::uint64_t frames_accepted = 0;
-  std::uint64_t frames_shed = 0;
   std::uint64_t frames_dropped_unavailable = 0;
   std::uint64_t frames_dropped_queue_full = 0;
   std::uint32_t revive_attempts = 0;
@@ -155,8 +139,6 @@ struct TenantSnapshot {
 struct FleetStats {
   std::uint64_t frames_offered = 0;
   std::uint64_t frames_accepted = 0;
-  std::uint64_t frames_shed = 0;
-  std::uint64_t admission_rejected = 0;
   std::uint64_t dropped_unavailable = 0;
   std::uint64_t dropped_queue_full = 0;
   std::uint64_t unknown_tenant_frames = 0;
@@ -201,9 +183,9 @@ class FleetService {
                        const runtime::SupervisorConfig& supervisor,
                        std::string* error = nullptr);
 
-  /// Offers one trace to a tenant.  Applies admission + governor +
-  /// availability checks in arrival order, then routes to the tenant's
-  /// shard (inline when not threaded).  Thread-safe.
+  /// Offers one trace to a tenant.  Applies the availability and queue
+  /// checks in arrival order, then routes to the tenant's shard (inline
+  /// when not threaded).  Thread-safe.
   IngestResult ingest(const std::string& tenant_id, dsp::Trace trace);
 
   /// Applies one decoded wire event: frames go through seq dedup/gap
@@ -282,13 +264,9 @@ class FleetService {
   std::vector<std::unique_ptr<Shard>> shards_;
   bool finished_ = false;
   FleetStats stats_;
-  std::uint64_t admission_window_id_ = 0;
-  std::uint64_t admission_window_count_ = 0;
 
   struct Instruments {
     obs::Counter* ingested = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* admission_rejected = nullptr;
     obs::Counter* wire_frames = nullptr;
     obs::Counter* wire_errors = nullptr;
     obs::Counter* quarantines = nullptr;

@@ -1,27 +1,31 @@
 #include "fleet/ingest_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "fleet/fleet_service.hpp"
 #include "fleet/wire.hpp"
+#include "obs/status_server.hpp"
 
 namespace fleet {
 
 namespace {
 
-/// Per-connection read deadline, ms.  An idle-but-alive uplink is fine
-/// (the read simply times out and retries); the deadline only bounds how
-/// long shutdown and a half-dead peer can hold the handler.
-constexpr std::uint32_t kReadTimeoutMs = 2000;
+/// Bytes read from one ready peer per pass of the serve loop.
+constexpr std::size_t kReadBytes = 16384;
+
+struct Peer {
+  int fd = -1;
+  wire::Decoder decoder;
+  std::uint64_t bytes = 0;
+};
 
 }  // namespace
 
@@ -35,73 +39,23 @@ bool IngestServer::start(std::string* error) {
     if (error != nullptr) *error = "ingest server already running";
     return false;
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = std::string("socket: ") + std::strerror(errno);
-    }
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    if (error != nullptr) {
-      *error = std::string("bind 127.0.0.1:") + std::to_string(config_.port) +
-               ": " + std::strerror(errno);
-    }
-    ::close(fd);
-    return false;
-  }
-  // The backlog covers the connection cap: a burst of peers up to
-  // kMaxIngestConnections must not have SYNs dropped (and wait out the
-  // kernel's 1 s retransmit) while the accept loop catches up.
-  if (::listen(fd, SOMAXCONN) != 0) {
-    if (error != nullptr) {
-      *error = std::string("listen: ") + std::strerror(errno);
-    }
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = config_.port;
-  }
+  const int fd = obs::listen_loopback(config_.port, &port_, error);
+  if (fd < 0) return false;
   stop_.store(false, std::memory_order_relaxed);
   fd_.store(fd, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  thread_ = std::thread([this, fd] { serve_loop(fd); });
   return true;
 }
 
 void IngestServer::stop() {
   stop_.store(true, std::memory_order_relaxed);
   const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connections_);
-  }
-  for (auto& conn : connections) {
-    // Shutting the socket unblocks a handler parked in recv().
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (auto& conn : connections) {
-    if (conn->worker.joinable()) conn->worker.join();
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
+  // Shutting the listener wakes a poll() parked on it; the loop then
+  // closes every peer.  The fd is closed only after the join, so the
+  // loop never polls a descriptor number that was reused meanwhile.
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
+  if (fd >= 0) ::close(fd);
   port_ = 0;
 }
 
@@ -110,85 +64,67 @@ IngestServerStats IngestServer::stats() const {
   return stats_;
 }
 
-void IngestServer::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    Connection& conn = **it;
-    if (conn.done.load(std::memory_order_acquire)) {
-      if (conn.worker.joinable()) conn.worker.join();
-      if (conn.fd >= 0) ::close(conn.fd);
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void IngestServer::accept_loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) break;
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready <= 0) continue;
-    if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) break;
-    const int client = ::accept(fd, nullptr, nullptr);
-    if (client < 0) continue;
-
+void IngestServer::serve_loop(int listen_fd) {
+  std::vector<Peer> peers;
+  std::vector<pollfd> fds;
+  char buf[kReadBytes];
+  // Whatever a closing peer still buffers is a torn tail; its decoder
+  // already counted everything decodable.
+  const auto close_peer = [this](Peer& peer) {
+    ::close(peer.fd);
+    peer.fd = -1;
+    const wire::Decoder::Stats& ds = peer.decoder.stats();
     std::lock_guard<std::mutex> lock(mu_);
-    reap_finished_locked();
-    if (connections_.size() >= kMaxIngestConnections) {
-      ++stats_.connections_refused;
-      ::close(client);
-      continue;
-    }
-    ++stats_.connections_accepted;
-    auto conn = std::make_unique<Connection>();
-    conn->fd = client;
-    Connection* raw = conn.get();
-    conn->worker = std::thread([this, raw] {
-      serve_connection(raw->fd);
-      raw->done.store(true, std::memory_order_release);
-    });
-    connections_.push_back(std::move(conn));
-  }
-}
+    stats_.bytes_received += peer.bytes;
+    stats_.frames_decoded += ds.frames_decoded;
+    stats_.decode_errors += ds.errors;
+    stats_.resyncs += ds.resyncs;
+    stats_.f64_frames += ds.f64_frames;
+  };
 
-void IngestServer::serve_connection(int client_fd) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(kReadTimeoutMs / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((kReadTimeoutMs % 1000) * 1000);
-  ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
-  wire::Decoder decoder;
-  char buf[16384];
-  std::uint64_t bytes = 0;
   while (!stop_.load(std::memory_order_relaxed)) {
-    const ssize_t n = ::recv(client_fd, buf, sizeof(buf), 0);
-    if (n == 0) break;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // Read deadline: keep waiting unless we are shutting down — an
-      // idle uplink is not an error, it is a truck parked overnight.
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
+    fds.assign(1, pollfd{listen_fd, POLLIN, 0});
+    for (const Peer& peer : peers) fds.push_back(pollfd{peer.fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), 200) <= 0) continue;
+
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      if (fds[i + 1].revents == 0) continue;
+      Peer& peer = peers[i];
+      const ssize_t n = ::recv(peer.fd, buf, sizeof(buf), MSG_DONTWAIT);
+      if (n < 0 &&
+          (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+        continue;
+      }
+      if (n <= 0) {  // peer closed, or the connection failed
+        close_peer(peer);
+        continue;
+      }
+      peer.bytes += static_cast<std::uint64_t>(n);
+      peer.decoder.feed(buf, static_cast<std::size_t>(n));
+      while (auto event = peer.decoder.next()) {
+        service_->handle_wire_event(std::move(*event));
+      }
     }
-    bytes += static_cast<std::uint64_t>(n);
-    decoder.feed(buf, static_cast<std::size_t>(n));
-    while (auto event = decoder.next()) {
-      service_->handle_wire_event(std::move(*event));
+    peers.erase(std::remove_if(peers.begin(), peers.end(),
+                               [](const Peer& peer) { return peer.fd < 0; }),
+                peers.end());
+
+    if ((fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) break;
+    if ((fds[0].revents & POLLIN) == 0) continue;
+    const int client = ::accept(listen_fd, nullptr, nullptr);
+    if (client < 0) continue;
+    const bool refuse = peers.size() >= kMaxIngestConnections;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++(refuse ? stats_.connections_refused : stats_.connections_accepted);
+    }
+    if (refuse) {
+      ::close(client);
+    } else {
+      peers.push_back(Peer{client, {}, 0});
     }
   }
-  // Whatever is still buffered is a torn tail; the decoder already
-  // counted everything decodable.
-  const wire::Decoder::Stats& ds = decoder.stats();
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.bytes_received += bytes;
-  stats_.frames_decoded += ds.frames_decoded;
-  stats_.decode_errors += ds.errors;
-  stats_.resyncs += ds.resyncs;
-  stats_.f64_frames += ds.f64_frames;
+  for (Peer& peer : peers) close_peer(peer);
 }
 
 }  // namespace fleet

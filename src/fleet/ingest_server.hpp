@@ -1,23 +1,23 @@
 // Loopback TCP front-end for the fleet wire protocol.
 //
-// Reuses the obs::StatusServer idiom — one accept-loop thread on a
-// loopback socket — but where the status server answers one GET per
-// connection, this acceptor owns long-lived ingest streams: each
-// connection gets its own handler thread and its own wire::Decoder, so a
-// peer that tears frames, stalls mid-header or floods garbage is
-// contained to its connection (resynchronization) and, through decode
-// attribution, to the tenant it claims to carry (quarantine) — never to
-// the process.  Connection count is bounded; excess peers are refused at
-// accept, not queued.
+// One thread runs one poll() loop over the listening socket and every
+// open peer, whatever the peer count: vProfile's per-frame work is a few
+// µs against a ~500 µs frame budget on a saturated bus, so a thread per
+// uplink buys nothing.  Each peer keeps its own wire::Decoder, so a peer
+// that tears frames, stalls mid-header or floods garbage is contained to
+// its connection (resynchronization) and, through decode attribution, to
+// the tenant it claims to carry (quarantine), never to the process.
+// Reads are non-blocking and one 16 KiB buffer per ready peer per pass,
+// so a flooding peer cannot starve the others.  Connection count is
+// bounded; excess peers are refused at accept, not queued.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace fleet {
 
@@ -31,6 +31,7 @@ struct IngestServerConfig {
 /// Concurrent connections; further peers are refused at accept.
 inline constexpr std::size_t kMaxIngestConnections = 32;
 
+/// Decoder counters land here when a peer closes and at stop().
 struct IngestServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_refused = 0;
@@ -49,11 +50,11 @@ class IngestServer {
   IngestServer(const IngestServer&) = delete;
   IngestServer& operator=(const IngestServer&) = delete;
 
-  /// Binds 127.0.0.1 and starts the accept loop.  Returns false with a
+  /// Binds 127.0.0.1 and starts the serve loop.  Returns false with a
   /// diagnostic on failure.
   bool start(std::string* error = nullptr);
 
-  /// Stops accepting, closes every connection, joins all threads.
+  /// Stops accepting, closes every connection, joins the thread.
   /// Idempotent.
   void stop();
 
@@ -62,25 +63,17 @@ class IngestServer {
   IngestServerStats stats() const;
 
  private:
-  void accept_loop();
-  void serve_connection(int client_fd);
-  void reap_finished_locked();
+  void serve_loop(int listen_fd);
 
   FleetService* service_;
   IngestServerConfig config_;
   std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
 
   mutable std::mutex mu_;
-  struct Connection {
-    int fd = -1;
-    std::thread worker;
-    std::atomic<bool> done{false};
-  };
-  std::vector<std::unique_ptr<Connection>> connections_;
   IngestServerStats stats_;
+  std::thread thread_;
 };
 
 }  // namespace fleet

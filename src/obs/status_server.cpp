@@ -55,6 +55,49 @@ bool send_all(int fd, const char* data, std::size_t len) {
 
 }  // namespace
 
+int listen_loopback(std::uint16_t port, std::uint16_t* bound_port,
+                    std::string* error) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    if (error != nullptr) {
+      *error = std::string("socket: ") + std::strerror(errno);
+    }
+    return -1;
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    if (error != nullptr) {
+      *error = std::string("bind 127.0.0.1:") + std::to_string(port) + ": " +
+               std::strerror(errno);
+    }
+    ::close(fd);
+    return -1;
+  }
+  // A burst of clients (ingest peers up to the connection cap, or
+  // scrapers) must not have SYNs dropped, and wait out the kernel's 1 s
+  // retransmit, while the serve loop catches up.
+  if (::listen(fd, SOMAXCONN) != 0) {
+    if (error != nullptr) {
+      *error = std::string("listen: ") + std::strerror(errno);
+    }
+    ::close(fd);
+    return -1;
+  }
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  *bound_port =
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0
+          ? ntohs(bound.sin_port)
+          : port;
+  return fd;
+}
+
 StatusServer::~StatusServer() { stop(); }
 
 void StatusServer::route(std::string path, Handler handler) {
@@ -87,43 +130,8 @@ bool StatusServer::start(std::uint16_t port, std::string* error) {
     if (error != nullptr) *error = "status server already running";
     return false;
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = std::string("socket: ") + std::strerror(errno);
-    }
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    if (error != nullptr) {
-      *error = std::string("bind 127.0.0.1:") + std::to_string(port) + ": " +
-               std::strerror(errno);
-    }
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) != 0) {
-    if (error != nullptr) {
-      *error = std::string("listen: ") + std::strerror(errno);
-    }
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = port;
-  }
+  const int fd = listen_loopback(port, &port_, error);
+  if (fd < 0) return false;
   stop_.store(false, std::memory_order_relaxed);
   fd_.store(fd, std::memory_order_release);
   thread_ = std::thread([this] { serve_loop(); });

@@ -28,6 +28,13 @@ class Counter;
 class MetricsRegistry;
 struct RunManifest;
 
+/// Opens a TCP listener on 127.0.0.1:`port` (0 = ephemeral) with
+/// SO_REUSEADDR and a SOMAXCONN backlog, and stores the bound port in
+/// `*bound_port`.  Returns the listening fd, or -1 with a diagnostic in
+/// `*error`.  StatusServer and fleet::IngestServer both listen through it.
+int listen_loopback(std::uint16_t port, std::uint16_t* bound_port,
+                    std::string* error);
+
 struct StatusResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";

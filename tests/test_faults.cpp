@@ -66,6 +66,17 @@ TEST(FaultTransformTest, SymmetricClippingClampsBothRails) {
   }
 }
 
+// The profile ScenarioMatrix.ExtremeFaultsNeverCrash draws: symmetric at
+// 0.45, so the lower level (0.55 of full scale) sits above the upper one.
+// Every sample comes out at the upper level, as it always has.
+TEST(FaultTransformTest, InvertedSymmetricClippingFlattensToUpperLevel) {
+  const dsp::Trace in = {0.0, 1000.0, 29490.75, 32000.0, 36044.25, kMaxCode};
+  const faults::ClippingFault f{1.0, 0.45, true};
+  const dsp::Trace out = faults::apply_clipping(in, f, kMaxCode);
+  const dsp::Trace want(in.size(), 29490.75);
+  EXPECT_EQ(out, want);
+}
+
 TEST(FaultTransformTest, DropoutZeroesOneBoundedRun) {
   const dsp::Trace in(500, 1000.0);
   faults::DropoutFault f;

@@ -1,7 +1,7 @@
 // Unit and negative-path fuzz tests for the fleet layer: the hardened
 // wire codec (torn / truncated / corrupted chunks must surface as counted
 // errors, never as crashes or over-reads) and the FleetService bulkheads
-// (governors, dedup, quarantine → revival → eviction, checkpoint layout).
+// (dedup, quarantine → revival → eviction, checkpoint layout).
 // The long-running containment scenarios live in test_fleet_chaos.cpp.
 #include <gtest/gtest.h>
 
@@ -794,61 +794,6 @@ TEST(FleetService, FingerprintStableAcrossShardCountsAndThreading) {
   EXPECT_EQ(run(4, false), reference);
   EXPECT_EQ(run(2, true), reference);
   EXPECT_EQ(run(4, true), reference);
-}
-
-TEST(FleetService, GovernorShedsExcessDeterministically) {
-  const World& w = world();
-  ASSERT_TRUE(w.model.has_value());
-  fleet::FleetConfig cfg = base_config();
-  cfg.tenant.governor_window = 4;
-  cfg.tenant.governor_quota = 1;
-  fleet::FleetService service(cfg);
-  ASSERT_TRUE(service.register_tenant("a", *w.model));
-  ASSERT_TRUE(service.register_tenant("b", *w.model));
-
-  // Alternating offers: each window of 4 fleet offers holds 2 per tenant,
-  // quota 1 → exactly one accepted and one shed per tenant per window.
-  std::size_t accepted_a = 0;
-  std::size_t shed_a = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    const auto ra = service.ingest("a", w.traces[i]);
-    const auto rb = service.ingest("b", w.traces[i + 8]);
-    if (ra == fleet::IngestResult::kAccepted) ++accepted_a;
-    if (ra == fleet::IngestResult::kShedGovernor) ++shed_a;
-    EXPECT_EQ(ra, rb);  // symmetric arrival pattern → symmetric outcome
-  }
-  EXPECT_EQ(accepted_a, 4u);
-  EXPECT_EQ(shed_a, 4u);
-  const fleet::FleetStats stats = service.stats();
-  EXPECT_EQ(stats.frames_accepted, 8u);
-  EXPECT_EQ(stats.frames_shed, 8u);
-  auto snap = service.tenant("a");
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->frames_accepted, 4u);
-  EXPECT_EQ(snap->frames_shed, 4u);
-  service.finish();
-}
-
-TEST(FleetService, AdmissionGovernorCapsAggregate) {
-  const World& w = world();
-  ASSERT_TRUE(w.model.has_value());
-  fleet::FleetConfig cfg = base_config();
-  cfg.admission_window = 10;
-  cfg.admission_quota = 3;
-  fleet::FleetService service(cfg);
-  ASSERT_TRUE(service.register_tenant("a", *w.model));
-
-  std::size_t accepted = 0;
-  std::size_t rejected = 0;
-  for (std::size_t i = 0; i < 20; ++i) {
-    const auto r = service.ingest("a", w.traces[i]);
-    if (r == fleet::IngestResult::kAccepted) ++accepted;
-    if (r == fleet::IngestResult::kRejectedAdmission) ++rejected;
-  }
-  EXPECT_EQ(accepted, 6u);   // 3 per window × 2 windows
-  EXPECT_EQ(rejected, 14u);
-  EXPECT_EQ(service.stats().admission_rejected, 14u);
-  service.finish();
 }
 
 // Duplicate and reordered wire chunks: duplicates are dropped before

@@ -3,9 +3,10 @@
 // fed through wire::Decoder + handle_wire_event in process, a garbage run
 // resynchronizes without touching later frames, a burst of peers up to
 // the connection cap connects without a SYN retransmit, peers past the
-// cap are refused at accept, and stop() returns while peers are still
-// connected.  Clients are raw loopback sockets, as a truck's
-// uplink would look on the wire.
+// cap are refused at accept, stop() returns while peers are still
+// connected, the server's thread count does not grow with its peers, and
+// a peer stalled mid-header does not hold up the others.  Clients are raw
+// loopback sockets, as a truck's uplink would look on the wire.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,7 +17,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -131,6 +134,17 @@ bool sees_eof(int fd) {
     if (n < 0 && errno == EINTR) continue;
     return n == 0;
   }
+}
+
+/// Threads of this process, as the kernel lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    static_cast<void>(entry);
+    ++n;
+  }
+  return n;
 }
 
 /// Polls `done` until it holds or 30 s pass (sanitizer builds are slow).
@@ -249,9 +263,8 @@ TEST(IngestServer, RefusesPeersPastTheCapAndStopsWithPeersOpen) {
   EXPECT_EQ(server.stats().connections_accepted,
             fleet::kMaxIngestConnections);
 
-  // Every capped peer is still connected and idle; stop() must release
-  // their handlers at once, not wait for the peers to hang up or for the
-  // 2 s per-connection read deadline to lapse.
+  // Every capped peer is still connected and idle; stop() must close
+  // them at once, not wait for the peers to hang up.
   const auto t0 = std::chrono::steady_clock::now();
   server.stop();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
@@ -260,6 +273,71 @@ TEST(IngestServer, RefusesPeersPastTheCapAndStopsWithPeersOpen) {
     EXPECT_TRUE(sees_eof(fd));
     ::close(fd);
   }
+  service.finish();
+}
+
+TEST(IngestServer, ThreadCountDoesNotGrowWithPeers) {
+  fleet::FleetService service(fleet_config());
+  fleet::IngestServer server(&service, fleet::IngestServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const std::size_t idle = thread_count();
+
+  constexpr std::size_t kPeers = 8;
+  std::vector<int> peers;
+  for (std::size_t i = 0; i < kPeers; ++i) {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    peers.push_back(fd);
+  }
+  ASSERT_TRUE(wait_for(
+      [&] { return server.stats().connections_accepted == kPeers; }));
+  EXPECT_EQ(thread_count(), idle);
+
+  server.stop();
+  for (const int fd : peers) ::close(fd);
+  service.finish();
+}
+
+TEST(IngestServer, StalledPeerDoesNotDelayOthers) {
+  const World& w = world();
+  ASSERT_TRUE(w.model.has_value());
+  constexpr std::size_t kFrames = 50;
+  fleet::FleetService service(fleet_config());
+  ASSERT_TRUE(service.register_tenant("truck-2", *w.model));
+  fleet::IngestServer server(&service, fleet::IngestServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Peer A sends half of an 8-byte chunk header (the magic, no length)
+  // and then nothing, holding its connection open.
+  const int a = connect_loopback(server.port());
+  ASSERT_GE(a, 0);
+  ASSERT_TRUE(send_all(
+      a, std::string(std::begin(fleet::wire::kMagic),
+                     std::end(fleet::wire::kMagic))));
+
+  std::string stream_b;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    fleet::wire::Frame f;
+    f.tenant = "truck-2";
+    f.seq = i;
+    f.samples = w.traces[i % w.traces.size()];
+    stream_b += fleet::wire::encode(f);
+  }
+  const int b = connect_loopback(server.port());
+  ASSERT_GE(b, 0);
+  ASSERT_TRUE(send_all(b, stream_b));
+  ASSERT_TRUE(wait_for([&] {
+    return service.tenant("truck-2")->supervisor.frames_handled == kFrames;
+  }));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_TRUE(sees_eof(a));
+  ::close(a);
+  ::close(b);
   service.finish();
 }
 

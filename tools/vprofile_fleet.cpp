@@ -3,14 +3,13 @@
 //
 // Server mode (default): trains one model per tenant, starts the sharded
 // FleetService (threaded shards, per-tenant checkpoint directories under
-// --checkpoint-root), the loopback wire acceptor, and a status endpoint
-// with fleet-wide /statusz plus per-tenant /statusz/tenant/<id>.
+// --checkpoint-root), the loopback wire acceptor (one thread, however
+// many peers), and a status endpoint with fleet-wide /statusz plus
+// per-tenant /statusz/tenant/<id>.
 //
 //   vprofile_fleet [--tenants N] [--tenant ID]... [--vehicle a|b]
 //                  [--seed S] [--train N] [--shards K] [--ingest-port P]
 //                  [--status-port P] [--checkpoint-root DIR]
-//                  [--governor-window W --governor-quota Q]
-//                  [--admission-window W --admission-quota Q]
 //                  [--expect-drain]
 //
 // Tenant ids default to truck-1..truck-N.  Each tenant's model is trained
@@ -75,8 +74,6 @@ void usage() {
       "                      [--seed S] [--train N] [--shards K]\n"
       "                      [--ingest-port P] [--status-port P]\n"
       "                      [--checkpoint-root DIR] [--expect-drain]\n"
-      "                      [--governor-window W --governor-quota Q]\n"
-      "                      [--admission-window W --admission-quota Q]\n"
       "       vprofile_fleet --send --port P --tenant ID [--count N]\n"
       "                      [--seed S] [--vehicle a|b] [--hijack P]\n"
       "                      [--chunk BYTES] [--no-drain]\n"
@@ -174,10 +171,6 @@ int main(int argc, char** argv) {
   int status_port = -1;
   std::string checkpoint_root;
   bool expect_drain = false;
-  std::size_t governor_window = 0;
-  std::size_t governor_quota = 0;
-  std::size_t admission_window = 0;
-  std::size_t admission_quota = 0;
   // client
   int port = -1;
   std::size_t count = 400;
@@ -216,18 +209,6 @@ int main(int argc, char** argv) {
       checkpoint_root = next();
     } else if (arg == "--expect-drain") {
       expect_drain = true;
-    } else if (arg == "--governor-window") {
-      governor_window =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--governor-quota") {
-      governor_quota =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--admission-window") {
-      admission_window =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--admission-quota") {
-      admission_quota =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--port") {
       port = static_cast<int>(std::strtol(next(), nullptr, 10));
     } else if (arg == "--count") {
@@ -289,11 +270,7 @@ int main(int argc, char** argv) {
   fc.num_shards = shards;
   fc.threaded = true;
   fc.checkpoint_root = checkpoint_root;
-  fc.admission_window = admission_window;
-  fc.admission_quota = admission_quota;
   fc.metrics = &registry;
-  fc.tenant.governor_window = governor_window;
-  fc.tenant.governor_quota = governor_quota;
   fc.tenant.supervisor.lockstep = true;
   fc.tenant.supervisor.pipeline.detection =
       sim::scenario_detection_config(config, 0.0);
@@ -409,12 +386,9 @@ int main(int argc, char** argv) {
 
   const fleet::FleetStats fs = service.stats();
   const fleet::IngestServerStats is = ingest.stats();
-  std::printf("\nfleet: %llu offered, %llu accepted, %llu shed, "
-              "%llu admission-rejected\n",
+  std::printf("\nfleet: %llu offered, %llu accepted\n",
               static_cast<unsigned long long>(fs.frames_offered),
-              static_cast<unsigned long long>(fs.frames_accepted),
-              static_cast<unsigned long long>(fs.frames_shed),
-              static_cast<unsigned long long>(fs.admission_rejected));
+              static_cast<unsigned long long>(fs.frames_accepted));
   std::printf("wire:  %llu frames, %llu errors (%llu unattributed), "
               "%llu dup, %llu gaps; %llu conns, %llu bytes, %llu resyncs, "
               "%llu f64 frames\n",
