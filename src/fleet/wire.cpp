@@ -4,6 +4,8 @@
 #include <cstring>
 
 #include "io/checksum.hpp"
+#include "linalg/simd_dispatch.hpp"
+#include "linalg/simd_kernels.hpp"
 
 namespace fleet::wire {
 
@@ -64,6 +66,17 @@ std::size_t sample_width(std::uint8_t format) {
   return 0;
 }
 
+/// Samples the AVX2 codec kernels take: every whole kU16CodecBlock when
+/// the dispatch chose AVX2, else 0 (and the kernels must not be called).
+/// The scalar loops below do the rest.
+std::size_t avx2_codec_samples(std::size_t count) {
+  if (linalg::simd::resolve(linalg::simd::Backend::kAuto) !=
+      linalg::simd::Backend::kAvx2) {
+    return 0;
+  }
+  return count - count % linalg::simd::kU16CodecBlock;
+}
+
 /// Writes every sample as a u16 code, in one pass that checks each one
 /// converts back to the same f64 bit pattern.  Returns false at the
 /// first sample that does not (NaN, ±inf, -0.0, fractional or out of
@@ -74,11 +87,20 @@ std::size_t sample_width(std::uint8_t format) {
 /// its bit-pattern distance from 2^52.  Subtracting 2^52 again is the
 /// conversion back.  Whatever the rounding, a sample passes only if it
 /// equals that code exactly, and the loop needs no float-to-integer
-/// conversion instruction, the slow part of a plain cast.
+/// conversion instruction, the slow part of a plain cast.  The AVX2
+/// kernel applies the same rule to the whole blocks, so both paths accept
+/// the same frames and write the same bytes.
 bool put_u16_codes(const dsp::Trace& samples, unsigned char* out) {
   constexpr double kTwo52 = 4503599627370496.0;
   constexpr std::uint64_t kTwo52Bits = std::bit_cast<std::uint64_t>(kTwo52);
-  for (const double s : samples) {
+  const std::size_t body = avx2_codec_samples(samples.size());
+  if (body > 0 &&
+      !linalg::simd::pack_u16_codes_avx2(samples.data(), body, out)) {
+    return false;
+  }
+  out += body * 2;
+  for (std::size_t i = body; i < samples.size(); ++i) {
+    const double s = samples[i];
     const double shifted = s + kTwo52;
     // Negative, NaN, infinite and large samples land far outside 16 bits.
     const std::uint64_t code =
@@ -150,7 +172,9 @@ DecodeError parse_payload(const unsigned char* p, std::size_t len,
   out->samples.resize(sample_count);
   double* samples = out->samples.data();
   if (*format == SampleFormat::kU16) {
-    for (std::size_t i = 0; i < sample_count; ++i) {
+    const std::size_t body = avx2_codec_samples(sample_count);
+    if (body > 0) linalg::simd::unpack_u16_codes_avx2(cursor, body, samples);
+    for (std::size_t i = body; i < sample_count; ++i) {
       samples[i] = static_cast<double>(get_u16(cursor + i * 2));
     }
   } else {

@@ -2,6 +2,9 @@
 
 #include <array>
 
+#include "linalg/simd_dispatch.hpp"
+#include "linalg/simd_kernels.hpp"
+
 namespace io {
 namespace {
 
@@ -43,6 +46,15 @@ std::uint32_t load_le32(const unsigned char* p) {
 std::uint32_t crc32(const void* data, std::size_t len) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
+  // The carry-less-multiply fold takes every whole 16-byte block of an
+  // input of 64 bytes or more; slicing-by-8 finishes the tail, and is the
+  // whole path on short inputs and when the fold cannot run.
+  if (len >= 64 && linalg::simd::resolve_pclmul()) {
+    const std::size_t folded = len & ~std::size_t{15};
+    crc = linalg::simd::crc32_fold_pclmul(bytes, folded, crc);
+    bytes += folded;
+    len -= folded;
+  }
   // Byte-wise loads keep this host-endianness-free; compilers fuse them
   // into one 32-bit load on little-endian targets.
   for (; len >= 8; bytes += 8, len -= 8) {

@@ -50,4 +50,12 @@ Backend resolve(Backend requested) {
   return Backend::kScalar;
 }
 
+bool resolve_pclmul() {
+#if defined(__x86_64__) || defined(__i386__)
+  return !force_scalar() && __builtin_cpu_supports("pclmul") != 0;
+#else
+  return false;
+#endif
+}
+
 }  // namespace linalg::simd

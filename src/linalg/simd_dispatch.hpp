@@ -1,4 +1,5 @@
-// Runtime backend selection for the batched scoring kernels.
+// Runtime backend selection for the batched scoring kernels and the wire
+// codec kernels.
 //
 // All SIMD in this codebase lives behind this boundary: callers name a
 // Backend (usually kAuto) and the dispatcher resolves it against the CPU
@@ -8,6 +9,13 @@
 // the scalar code, so a resolved backend never changes a verdict, only
 // the wall clock.  CI runs both resolutions (see the runtime-dispatch job)
 // and tests/test_simd_differential.cpp holds the equivalence.
+//
+// The codec kernels (io::crc32's carry-less-multiply fold, fleet::wire's
+// AVX2 u16 pack and unpack) hold no Backend: each call resolves afresh,
+// through resolve_pclmul() and resolve(Backend::kAuto), so a test can
+// flip set_force_scalar_override() between two calls.  They change no
+// byte: test_io's Checksum and test_fleet's Wire suites compare both
+// resolutions in one process.
 #pragma once
 
 namespace linalg::simd {
@@ -37,5 +45,9 @@ void set_force_scalar_override(int forced);
 /// kAuto/kAvx2 become kScalar when forced or unsupported, kScalar is
 /// returned unchanged.  Never returns kAuto.
 Backend resolve(Backend requested);
+
+/// True when io::crc32 may fold with PCLMULQDQ (crc32_fold_pclmul): the
+/// executing CPU supports carry-less multiply and scalar is not forced.
+bool resolve_pclmul();
 
 }  // namespace linalg::simd

@@ -22,9 +22,15 @@
 // the same sequence with one edge (or one inverse row) per lane, so every
 // backend produces bit-identical doubles.
 // tests/test_simd_differential.cpp enforces this.
+//
+// The same boundary holds the wire codec's kernels, declared at the end:
+// the CRC-32 fold io::crc32 runs on PCLMULQDQ CPUs and the AVX2 u16
+// pack / unpack of fleet::wire.  Their contract is byte identity: every
+// input gives the scalar loop's bytes, CRC and doubles.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace linalg::simd {
 
@@ -75,5 +81,38 @@ inline std::size_t padded_rows(std::size_t dim) {
 void mahalanobis_avx2_rows(const BatchView& batch, const double* mu,
                            const double* inv_cov_t, double* dscratch,
                            double* out, std::size_t begin, std::size_t end);
+
+// ---------------------------------------------------------------------
+// Wire codec kernels
+// ---------------------------------------------------------------------
+
+/// Folds `len` bytes into the CRC-32 register `crc` (the zlib polynomial,
+/// reflected 0xEDB88320; pass the register as it stands, before the final
+/// xor) and returns the register, equal to what the slicing-by-8 loop
+/// leaves.  Four 16-byte lanes fold 64 bytes per step with carry-less
+/// multiplies, then one lane folds 16 at a time and a Barrett reduction
+/// ends it (Gopal et al., "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ Instruction", Intel, 2009).  `len` must be >= 64 and
+/// a multiple of 16.  Only call when resolve_pclmul() is true — the file
+/// is compiled with -mpclmul.
+std::uint32_t crc32_fold_pclmul(const unsigned char* data, std::size_t len,
+                                std::uint32_t crc);
+
+/// Samples per step of the AVX2 u16 pack and unpack; `count` must be a
+/// multiple of it.
+inline constexpr std::size_t kU16CodecBlock = 16;
+
+/// Writes `count` samples as little-endian u16 codes under fleet::wire's
+/// lossless rule (s + 2^52 is 2^52 plus a code <= 0xFFFF, and subtracting
+/// 2^52 gives back the bits of s) and returns true when every sample
+/// passes.  On false, `out` holds a partial write.  Only call when
+/// resolve(Backend::kAuto) chose Backend::kAvx2.
+bool pack_u16_codes_avx2(const double* samples, std::size_t count,
+                         unsigned char* out);
+
+/// out[i] = double(little-endian u16 at in + 2 * i) for `count` samples,
+/// exact.  Same dispatch rule as pack_u16_codes_avx2.
+void unpack_u16_codes_avx2(const unsigned char* in, std::size_t count,
+                           double* out);
 
 }  // namespace linalg::simd

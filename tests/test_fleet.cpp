@@ -22,6 +22,8 @@
 #include "fleet/wire.hpp"
 #include "io/checksum.hpp"
 #include "io/json.hpp"
+#include "linalg/simd_dispatch.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/supervisor.hpp"
 #include "sim/attack.hpp"
@@ -619,6 +621,113 @@ TEST(Wire, VehicleCapturesRoundTripBitIdentical) {
         EXPECT_EQ(decoder.stats().f64_frames, 0u);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The codec on both dispatch paths: the AVX2 u16 pack / unpack and the
+// carry-less-multiply CRC (where the CPU has them) against the scalar
+// loops, in one process.
+
+struct DispatchOverride {
+  explicit DispatchOverride(int forced) {
+    linalg::simd::set_force_scalar_override(forced);
+  }
+  ~DispatchOverride() { linalg::simd::set_force_scalar_override(-1); }
+};
+
+std::string encode_forced(int forced, const Frame& f) {
+  const DispatchOverride scope(forced);
+  return fleet::wire::encode(f);
+}
+
+/// Decodes one whole frame on the given dispatch path; nullopt if the
+/// bytes do not decode to exactly one frame.
+std::optional<Frame> decode_forced(int forced, const std::string& bytes,
+                                   SampleFormat* format) {
+  const DispatchOverride scope(forced);
+  Decoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  auto events = pump(decoder);
+  if (events.size() != 1 || !events[0].frame.has_value()) return {};
+  *format = decoder.stats().f64_frames == 1 ? SampleFormat::kF64
+                                            : SampleFormat::kU16;
+  return std::move(events[0].frame);
+}
+
+/// Encodes `f` on both paths, expects the same bytes, decodes them on
+/// both paths, expects `f` back bit for bit, and returns the format.
+SampleFormat both_paths_format(const Frame& f) {
+  const std::string simd = encode_forced(0, f);
+  const std::string scalar = encode_forced(1, f);
+  EXPECT_EQ(simd, scalar);
+  SampleFormat formats[2] = {SampleFormat::kU16, SampleFormat::kU16};
+  for (const int forced : {0, 1}) {
+    const auto decoded = decode_forced(forced, scalar, &formats[forced]);
+    if (!decoded.has_value()) {
+      ADD_FAILURE() << "frame did not decode, forced=" << forced;
+      return SampleFormat::kF64;
+    }
+    EXPECT_TRUE(frames_equal(*decoded, f)) << "forced=" << forced;
+  }
+  EXPECT_EQ(formats[0], formats[1]);
+  return formats[1];
+}
+
+// Each class of sample the lossless rule refuses, and the two edge codes
+// it accepts, at every index of two full SIMD blocks and the scalar tail:
+// both paths choose the same format and write the same bytes.
+TEST(Wire, EveryPlacementEncodesTheSameOnBothDispatchPaths) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double refused[] = {-0.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            kInf,
+                            -kInf,
+                            65536.0,
+                            -1.0,
+                            0.5,
+                            std::numeric_limits<double>::denorm_min()};
+  const double accepted[] = {65535.0, 0.0};
+  const std::size_t n = 2 * linalg::simd::kU16CodecBlock + 7;
+  const Frame base = make_code_frame("truck-5", 3, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const double odd : refused) {
+      SCOPED_TRACE(testing::Message() << "refused " << odd << " at " << i);
+      Frame f = base;
+      f.samples[i] = odd;
+      EXPECT_EQ(both_paths_format(f), SampleFormat::kF64);
+    }
+    for (const double code : accepted) {
+      SCOPED_TRACE(testing::Message() << "accepted " << code << " at " << i);
+      Frame f = base;
+      f.samples[i] = code;
+      EXPECT_EQ(both_paths_format(f), SampleFormat::kU16);
+    }
+  }
+}
+
+// Real captures from both vehicles, clean (u16) and under the harsh fault
+// profile (mostly f64): the same bytes and the same decoded traces on
+// both dispatch paths.
+TEST(Wire, VehicleCapturesEncodeTheSameOnBothDispatchPaths) {
+  for (const bool vehicle_a : {true, false}) {
+    sim::Vehicle vehicle(vehicle_a ? sim::vehicle_a() : sim::vehicle_b(), 9);
+    const analog::Environment env = analog::Environment::reference();
+    faults::FaultInjector harsh(
+        faults::harsh_environment(),
+        static_cast<double>(vehicle.config().adc.max_code()), 9);
+    std::uint64_t seq = 0;
+    std::size_t u16_frames = 0;
+    for (const sim::Capture& cap : vehicle.capture(40, env)) {
+      for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(testing::Message() << (vehicle_a ? "A" : "B") << " seq "
+                                        << seq);
+        Frame f = make_frame("truck-b", seq++, 0);
+        f.samples = faulted ? harsh.apply(cap.codes) : cap.codes;
+        if (both_paths_format(f) == SampleFormat::kU16) ++u16_frames;
+      }
+    }
+    EXPECT_GE(u16_frames, 40u);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "io/json.hpp"
 #include "io/model_store.hpp"
 #include "io/trace_store.hpp"
+#include "linalg/simd_dispatch.hpp"
 #include "stats/rng.hpp"
 #include "oracles.hpp"
 
@@ -258,19 +259,29 @@ std::uint32_t bitwise_crc32(const unsigned char* data, std::size_t len) {
 
 TEST(Checksum, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   stats::Rng rng(17);
-  std::vector<unsigned char> bytes(48 * 1024 + 8);
+  const std::size_t big = 80 * 1024 + 5;  // over 64 KiB, odd tail
+  std::vector<unsigned char> bytes(big + 16);
   for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.below(256));
-  // Every tail length of the 8-byte stride, at every misalignment.
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(io::crc32(bytes.data() + offset, len),
-                bitwise_crc32(bytes.data() + offset, len))
-          << "offset=" << offset << " len=" << len;
+  struct OverrideGuard {
+    ~OverrideGuard() { linalg::simd::set_force_scalar_override(-1); }
+  } guard;
+  // Both dispatch paths in one process: the carry-less-multiply fold
+  // (where the CPU has it) and slicing-by-8 alone.
+  for (const int forced : {0, 1}) {
+    linalg::simd::set_force_scalar_override(forced);
+    // Every length across the fold's 16- and 64-byte blocks and the
+    // 8-byte slicing stride, at every misalignment of a 16-byte load.
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 640; ++len) {
+        ASSERT_EQ(io::crc32(bytes.data() + offset, len),
+                  bitwise_crc32(bytes.data() + offset, len))
+            << "forced=" << forced << " offset=" << offset << " len=" << len;
+      }
     }
+    EXPECT_EQ(io::crc32(bytes.data() + 3, big),
+              bitwise_crc32(bytes.data() + 3, big))
+        << "forced=" << forced;
   }
-  const std::size_t big = 48 * 1024;
-  EXPECT_EQ(io::crc32(bytes.data() + 3, big),
-            bitwise_crc32(bytes.data() + 3, big));
 }
 
 TEST(ModelStore, SavedFileCarriesCrcFooter) {
