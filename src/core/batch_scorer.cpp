@@ -6,11 +6,6 @@
 #include "linalg/simd_kernels.hpp"
 
 namespace vprofile {
-namespace {
-
-std::size_t pad4(std::size_t n) { return (n + 3) & ~std::size_t{3}; }
-
-}  // namespace
 
 ScoringPlan::ScoringPlan(const Model& model, linalg::simd::Backend requested)
     : model_(model), backend_(linalg::simd::resolve(requested)) {
@@ -52,8 +47,8 @@ void BatchScorer::detect(const EdgeSet* const* sets, std::size_t count,
   if (n == 0) return;
 
   // Stage 2: SoA transpose + per-cluster kernel over all survivors.
-  const std::size_t stride = pad4(n);
-  score_batch(sets, to_score_.data(), n, stride);
+  score_batch(sets, to_score_.data(), n);
+  const std::size_t stride = batch_.view().stride;
 
   // Stage 3: argmin (ascending scan, strict <, exactly like
   // Model::nearest_cluster) and the shared verdict logic.
@@ -75,50 +70,22 @@ void BatchScorer::detect(const EdgeSet* const* sets, std::size_t count,
 
 // vprofile-lint: hot
 void BatchScorer::score_batch(const EdgeSet* const* sets,
-                              const std::uint32_t* indices, std::size_t n,
-                              std::size_t stride) {
-  using linalg::simd::Backend;
-  const std::size_t dim = plan_.dimension();
-  const Backend backend = plan_.backend_;
+                              const std::uint32_t* indices, std::size_t n) {
+  batch_.transpose_sets(sets, indices, n, plan_.dimension());
+  const std::size_t stride = batch_.view().stride;
   const bool mahalanobis =
       plan_.model().metric() == DistanceMetric::kMahalanobis;
-
   dist_.resize(plan_.clusters_.size() * stride);
-  soa_.resize(dim * stride);
-  for (std::size_t e = 0; e < n; ++e) {
-    const auto& xs = sets[indices[e]]->samples;  // size == dim (prescore)
-    for (std::size_t i = 0; i < dim; ++i) soa_[i * stride + e] = xs[i];
-  }
-  // The pad columns [n, stride) are never read (the AVX2 body stops at the
-  // last full quad inside n), but zero them so the buffer stays
-  // deterministic for debugging.
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t e = n; e < stride; ++e) soa_[i * stride + e] = 0.0;
-  }
-  dscratch_.resize(dim * 16);
-
-  const linalg::simd::BatchView view{soa_.data(), stride, n, dim};
-  const std::size_t body =
-      backend == Backend::kAvx2 ? (n & ~std::size_t{3}) : 0;
   for (std::size_t c = 0; c < plan_.clusters_.size(); ++c) {
     const ScoringPlan::ClusterOps& ops = plan_.clusters_[c];
     double* row = dist_.data() + c * stride;
     if (mahalanobis) {
-      if (body > 0) {
-        linalg::simd::mahalanobis_avx2(view, ops.mean.data(), ops.inv_cov,
-                                       dscratch_.data(), row, 0, body);
-      }
-      if (body < n && backend == Backend::kAvx2) {
-        linalg::simd::mahalanobis_avx2_rows(view, ops.mean.data(),
-                                            ops.inv_cov_t.data(),
-                                            dscratch_.data(), row, body, n);
-      } else if (body < n) {
-        linalg::simd::mahalanobis_scalar(view, ops.mean.data(), ops.inv_cov,
-                                         dscratch_.data(), row, body, n);
-      }
+      batch_.mahalanobis_distances(plan_.backend_, ops.mean.data(),
+                                   ops.inv_cov, ops.inv_cov_t.data(), row);
     } else {
       // Euclidean is scalar on every backend (see simd_kernels.hpp).
-      linalg::simd::euclidean_scalar(view, ops.mean.data(), row, 0, n);
+      linalg::simd::euclidean_scalar(batch_.view(), ops.mean.data(), row, 0,
+                                     n);
     }
   }
 }

@@ -7,14 +7,18 @@
 #include <numeric>
 #include <sstream>
 
+#include "core/batch_scorer.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/covariance.hpp"
+#include "linalg/simd_dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
-#include "linalg/covariance.hpp"
-#include "linalg/mahalanobis.hpp"
 
 namespace vprofile {
 namespace {
+
+/// Members per pass of the threshold distance kernels (a multiple of 4).
+constexpr std::size_t kThresholdChunk = 64;
 
 /// Edge sets grouped into clusters, each with a name and its SA list.
 struct ClusterGroup {
@@ -76,17 +80,34 @@ ClusterBuild build_cluster(ClusterGroup& g, const TrainingConfig& config) {
     cm.inv_covariance = factor->inverse();
   }
 
-  // Detection threshold: the largest training distance to the mean.
+  // Detection threshold: the largest training distance to the mean.  The
+  // Mahalanobis distances come from the batch kernels, each bit-identical
+  // to mahalanobis_distance_inv.
   double max_dist = 0.0;
-  for (const EdgeSet* e : g.members) {
-    double d;
-    if (config.metric == DistanceMetric::kEuclidean) {
-      d = linalg::euclidean_distance(e->samples, cm.mean);
-    } else {
-      d = linalg::mahalanobis_distance_inv(e->samples, cm.mean,
-                                           cm.inv_covariance);
+  if (config.metric == DistanceMetric::kEuclidean) {
+    for (const EdgeSet* e : g.members) {
+      max_dist =
+          std::max(max_dist, linalg::euclidean_distance(e->samples, cm.mean));
     }
-    max_dist = std::max(max_dist, d);
+  } else {
+    // kThresholdChunk members at a time, so the transpose stays a few
+    // tens of KB (cache-resident, and below malloc's mmap threshold)
+    // whatever the cluster size.
+    const linalg::simd::Backend backend =
+        linalg::simd::resolve(linalg::simd::Backend::kAuto);
+    const std::size_t n = g.members.size();
+    FeatureBatch batch;
+    double dist[kThresholdChunk];
+    for (std::size_t off = 0; off < n; off += kThresholdChunk) {
+      const std::size_t m = std::min(kThresholdChunk, n - off);
+      batch.transpose_sets(g.members.data() + off, nullptr, m, dim);
+      batch.mahalanobis_distances(backend, cm.mean.data(),
+                                  cm.inv_covariance.data().data(), nullptr,
+                                  dist);
+      for (std::size_t e = 0; e < m; ++e) {
+        max_dist = std::max(max_dist, dist[e]);
+      }
+    }
   }
   cm.max_distance = max_dist;
   build.cluster = std::move(cm);

@@ -248,13 +248,18 @@ std::string encode(const Frame& frame) {
 }
 
 void Decoder::feed(const void* data, std::size_t len) {
-  buffer_.append(static_cast<const char*>(data), len);
-  // Compact once the dead prefix dominates, so long-lived connections
-  // don't accrete every byte they ever received.
-  if (cursor_ > 4096 && cursor_ > buffer_.size() / 2) {
+  // Drop the consumed prefix before appending, so long-lived connections
+  // don't accrete every byte they ever received and the copy moves only
+  // unread bytes: none when whole frames arrive back to back, fewer than
+  // the dead prefix once it dominates.
+  if (cursor_ == buffer_.size()) {
+    buffer_.clear();
+    cursor_ = 0;
+  } else if (cursor_ > 4096 && cursor_ > buffer_.size() / 2) {
     buffer_.erase(0, cursor_);
     cursor_ = 0;
   }
+  buffer_.append(static_cast<const char*>(data), len);
 }
 
 void Decoder::consume(std::size_t n) {

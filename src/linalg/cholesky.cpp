@@ -2,6 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
+
+#include "linalg/simd_dispatch.hpp"
+#include "linalg/simd_kernels.hpp"
 
 namespace linalg {
 
@@ -32,37 +36,19 @@ std::optional<Cholesky> Cholesky::factorize(const Matrix& a,
   return Cholesky(std::move(l));
 }
 
-Vector Cholesky::solve(const Vector& b) const {
-  const std::size_t n = dim();
-  if (b.size() != n) {
-    throw std::invalid_argument("Cholesky::solve: size mismatch");
-  }
-  // Forward substitution: L y = b.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l_.at(i, k) * y[k];
-    y[i] = s / l_.at(i, i);
-  }
-  // Back substitution: L^T x = y.
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l_.at(k, ii) * x[k];
-    x[ii] = s / l_.at(ii, ii);
-  }
-  return x;
-}
-
 Matrix Cholesky::inverse() const {
   const std::size_t n = dim();
   Matrix inv(n, n);
-  Vector e(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    e[c] = 1.0;
-    Vector col = solve(e);
-    for (std::size_t r = 0; r < n; ++r) inv.at(r, c) = col[r];
-    e[c] = 0.0;
+  const bool avx2 =
+      simd::resolve(simd::Backend::kAuto) == simd::Backend::kAvx2;
+  std::vector<double> scratch(avx2 ? 8 * n : 2 * n);
+  if (avx2) {
+    simd::cholesky_inverse_columns_avx2(l_.data().data(), n, scratch.data(),
+                                        inv.data().data(), 0, n);
+  } else {
+    simd::cholesky_inverse_columns_scalar(l_.data().data(), n,
+                                          scratch.data(), inv.data().data(),
+                                          0, n);
   }
   return inv;
 }

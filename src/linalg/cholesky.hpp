@@ -25,10 +25,11 @@ class Cholesky {
   std::size_t dim() const { return l_.rows(); }
   const Matrix& lower() const { return l_; }
 
-  /// Solves A x = b.
-  Vector solve(const Vector& b) const;
   /// Full inverse A^-1 (needed by the online updater, which maintains the
-  /// inverse incrementally afterwards).
+  /// inverse incrementally afterwards).  Column c is the solution of
+  /// A x = e_c by forward then back substitution, on the SIMD backend
+  /// resolved at the call (simd::cholesky_inverse_columns_*); every
+  /// backend gives the same bits.  Not bitwise symmetric.
   Matrix inverse() const;
 
  private:

@@ -4,11 +4,18 @@
 #include <stdexcept>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/simd_dispatch.hpp"
+#include "linalg/simd_kernels.hpp"
 
 namespace linalg {
 
 CovarianceAccumulator::CovarianceAccumulator(std::size_t dim)
-    : dim_(dim), mean_(dim, 0.0), m2_(dim, dim) {
+    : dim_(dim),
+      avx2_(simd::resolve(simd::Backend::kAuto) == simd::Backend::kAvx2),
+      mean_(dim, 0.0),
+      m2_(dim, dim),
+      delta_(kBatch * dim),
+      delta2_(kBatch * dim) {
   if (dim == 0) {
     throw std::invalid_argument("CovarianceAccumulator: dim must be > 0");
   }
@@ -20,14 +27,28 @@ void CovarianceAccumulator::add(const Vector& x) {
   }
   ++n_;
   // Welford-style: delta against the old mean, delta2 against the new.
-  Vector delta = subtract(x, mean_);
+  double* delta = delta_.data() + pending_ * dim_;
+  double* delta2 = delta2_.data() + pending_ * dim_;
   const double inv_n = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < dim_; ++i) mean_[i] += delta[i] * inv_n;
-  Vector delta2 = subtract(x, mean_);
   for (std::size_t i = 0; i < dim_; ++i) {
-    for (std::size_t j = 0; j < dim_; ++j) {
-      m2_.at(i, j) += delta[i] * delta2[j];
-    }
+    delta[i] = x[i] - mean_[i];
+    mean_[i] += delta[i] * inv_n;
+  }
+  for (std::size_t i = 0; i < dim_; ++i) delta2[i] = x[i] - mean_[i];
+  if (++pending_ == kBatch) {
+    apply_pending(m2_);
+    pending_ = 0;
+  }
+}
+
+void CovarianceAccumulator::apply_pending(Matrix& m2) const {
+  if (pending_ == 0) return;
+  if (avx2_) {
+    simd::rank1_updates_avx2(m2.data().data(), delta_.data(), delta2_.data(),
+                             dim_, pending_);
+  } else {
+    simd::rank1_updates_scalar(m2.data().data(), delta_.data(),
+                               delta2_.data(), dim_, pending_);
   }
 }
 
@@ -36,7 +57,9 @@ Matrix CovarianceAccumulator::covariance() const {
     throw std::logic_error(
         "CovarianceAccumulator::covariance: need >= 2 observations");
   }
-  return m2_ * (1.0 / static_cast<double>(n_));
+  Matrix m2 = m2_;
+  apply_pending(m2);
+  return m2 * (1.0 / static_cast<double>(n_));
 }
 
 IncrementalCovariance::IncrementalCovariance(Vector mean, Matrix covariance,

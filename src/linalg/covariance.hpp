@@ -16,6 +16,13 @@ namespace linalg {
 ///
 /// Uses the same population normalization (divide by n) as the paper's
 /// Eq 5.1 so that batch and incremental estimates agree exactly.
+///
+/// add() updates the mean at once and queues the observation's rank-1
+/// update of the sum of outer products; every kBatch observations the
+/// queue runs in one sweep over the matrix, on the SIMD backend resolved
+/// at construction (linalg/simd_dispatch.hpp).  Each element still adds
+/// its terms one observation at a time, in order, so every backend and
+/// batch size gives the same bits.  add() allocates nothing.
 class CovarianceAccumulator {
  public:
   explicit CovarianceAccumulator(std::size_t dim);
@@ -30,10 +37,22 @@ class CovarianceAccumulator {
   Matrix covariance() const;
 
  private:
+  /// Observations per sweep of the queued rank-1 updates.
+  static constexpr std::size_t kBatch = 4;
+
   std::size_t dim_;
   std::size_t n_ = 0;
+  bool avx2_;
   Vector mean_;
   Matrix m2_;  // sum of outer products of deviations (Welford style)
+  // Queued rank-1 updates, observation t at [t * dim, (t + 1) * dim):
+  // x - the mean before it (delta) and x - the mean after it (delta2).
+  std::size_t pending_ = 0;
+  Vector delta_;
+  Vector delta2_;
+
+  /// Applies the queued updates to `m2` (m2_ or a copy of it).
+  void apply_pending(Matrix& m2) const;
 };
 
 /// Maintains mean, covariance, and inverse covariance under one-at-a-time

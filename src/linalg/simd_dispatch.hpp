@@ -1,5 +1,5 @@
-// Runtime backend selection for the batched scoring kernels and the wire
-// codec kernels.
+// Runtime backend selection for the batched scoring kernels, the
+// training kernels and the wire codec kernels.
 //
 // All SIMD in this codebase lives behind this boundary: callers name a
 // Backend (usually kAuto) and the dispatcher resolves it against the CPU
@@ -9,6 +9,15 @@
 // the scalar code, so a resolved backend never changes a verdict, only
 // the wall clock.  CI runs both resolutions (see the runtime-dispatch job)
 // and tests/test_simd_differential.cpp holds the equivalence.
+//
+// The training kernels (the covariance accumulator's rank-1 updates,
+// Cholesky::inverse's column solves and the trainer's threshold pass over
+// the scoring kernels) follow the same rule: per matrix element, inverse
+// column or member, each backend runs the scalar sequence, so a trained
+// model has the same bytes on both.  CovarianceAccumulator resolves
+// kAuto when it is built, Cholesky::inverse and the trainer on every
+// call; test_trainer's TrainerDispatch suite flips
+// set_force_scalar_override() between two trainings in one process.
 //
 // The codec kernels (io::crc32's carry-less-multiply fold, fleet::wire's
 // AVX2 u16 pack and unpack) hold no Backend: each call resolves afresh,

@@ -23,6 +23,15 @@
 // backend produces bit-identical doubles.
 // tests/test_simd_differential.cpp enforces this.
 //
+// Training (Algorithm 2) runs on the same kernels and two of its own,
+// declared after the scoring kernels: the covariance accumulator's rank-1
+// update and the Cholesky inverse's column solves.  Their contract is the
+// scoring kernels' one: every backend performs, per matrix element or per
+// inverse column, exactly the scalar sequence, so a model trained on
+// either backend has the same bytes.  The trainer's threshold pass scores
+// its members with mahalanobis_avx2 / mahalanobis_scalar, whose reference
+// is mahalanobis_distance_inv.
+//
 // The same boundary holds the wire codec's kernels, declared at the end:
 // the CRC-32 fold io::crc32 runs on PCLMULQDQ CPUs and the AVX2 u16
 // pack / unpack of fleet::wire.  Their contract is byte identity: every
@@ -81,6 +90,47 @@ inline std::size_t padded_rows(std::size_t dim) {
 void mahalanobis_avx2_rows(const BatchView& batch, const double* mu,
                            const double* inv_cov_t, double* dscratch,
                            double* out, std::size_t begin, std::size_t end);
+
+// ---------------------------------------------------------------------
+// Training kernels
+// ---------------------------------------------------------------------
+
+/// k rank-1 updates of the covariance accumulator's sum of outer
+/// products in one sweep: for t = 0 .. k-1 in order,
+/// m2[i * dim + j] += a[t * dim + i] * b[t * dim + j] for every i, j <
+/// dim, one multiply then one add per term (never FMA).  Each element
+/// keeps its own sequence of adds, in t order, so neither batching the k
+/// updates nor vectorizing across j changes a bit against k separate
+/// element-by-element updates.
+void rank1_updates_scalar(double* m2, const double* a, const double* b,
+                          std::size_t dim, std::size_t k);
+
+/// AVX2 variant, four j per vector and the dim % 4 remainder in scalar.
+/// Only call when resolve(Backend::kAuto) chose Backend::kAvx2.
+void rank1_updates_avx2(double* m2, const double* a, const double* b,
+                        std::size_t dim, std::size_t k);
+
+/// Columns [begin, end) of A^-1 for A = L L^T, with `l` the row-major
+/// n x n lower Cholesky factor and `inv` the row-major n x n output.
+/// Column c solves A x = e_c: forward substitution
+/// y_i = (e_c[i] - sum_k<i l[i][k] * y_k) / l[i][i], then back
+/// substitution x_i = (y_i - sum_k>i l[k][i] * x_k) / l[i][i], each sum
+/// subtracted term by term with k ascending — exactly what one column of
+/// the one-right-hand-side solve does, with no step skipped for the zero
+/// entries of e_c.  `scratch` must hold >= 2 * n doubles.
+void cholesky_inverse_columns_scalar(const double* l, std::size_t n,
+                                     double* scratch, double* inv,
+                                     std::size_t begin, std::size_t end);
+
+/// AVX2 variant: four columns per pass, one per lane, each lane running
+/// the scalar sequence with sub(mul) and the correctly rounded vector
+/// divide.  Any [begin, end); a last quad past n runs zero right-hand
+/// sides in its spare lanes and writes none of them.  `scratch` must hold
+/// >= 8 * n doubles.  Only call when resolve(Backend::kAuto) chose
+/// Backend::kAvx2.
+void cholesky_inverse_columns_avx2(const double* l, std::size_t n,
+                                   double* scratch, double* inv,
+                                   std::size_t begin, std::size_t end);
 
 // ---------------------------------------------------------------------
 // Wire codec kernels

@@ -1,8 +1,9 @@
 // Scalar reference kernels — the bit-identity oracle every other backend
 // is held against.  The loops mirror linalg::euclidean_distance and
-// linalg::mahalanobis_distance_inv operation-for-operation; this file is
-// built with -ffp-contract=off so the compiler cannot fuse a*b+c into an
-// FMA and silently change the rounding the oracle is defined by.
+// linalg::mahalanobis_distance_inv operation-for-operation, and the
+// training kernels define the trained model's bytes; this file is built
+// with -ffp-contract=off so the compiler cannot fuse a*b+c into an FMA
+// and silently change the rounding the oracle is defined by.
 #include "linalg/simd_kernels.hpp"
 
 #include <algorithm>
@@ -43,6 +44,40 @@ void mahalanobis_scalar(const BatchView& batch, const double* mu,
       q += dscratch[r] * s;
     }
     out[e] = std::sqrt(std::max(0.0, q));
+  }
+}
+
+void rank1_updates_scalar(double* m2, const double* a, const double* b,
+                          std::size_t dim, std::size_t k) {
+  for (std::size_t t = 0; t < k; ++t) {
+    const double* at = a + t * dim;
+    const double* bt = b + t * dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      double* row = m2 + i * dim;
+      for (std::size_t j = 0; j < dim; ++j) row[j] += at[i] * bt[j];
+    }
+  }
+}
+
+void cholesky_inverse_columns_scalar(const double* l, std::size_t n,
+                                     double* scratch, double* inv,
+                                     std::size_t begin, std::size_t end) {
+  double* y = scratch;
+  double* x = scratch + n;
+  for (std::size_t c = begin; c < end; ++c) {
+    // Forward substitution: L y = e_c.
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = i == c ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < i; ++k) s -= l[i * n + k] * y[k];
+      y[i] = s / l[i * n + i];
+    }
+    // Back substitution: L^T x = y.
+    for (std::size_t i = n; i-- > 0;) {
+      double s = y[i];
+      for (std::size_t k = i + 1; k < n; ++k) s -= l[k * n + i] * x[k];
+      x[i] = s / l[i * n + i];
+    }
+    for (std::size_t r = 0; r < n; ++r) inv[r * n + c] = x[r];
   }
 }
 

@@ -35,6 +35,30 @@ linalg::Matrix matmul(const linalg::Matrix& a, const linalg::Matrix& b) {
   return out;
 }
 
+linalg::Vector cholesky_solve(const linalg::Cholesky& factor,
+                              const linalg::Vector& b) {
+  const std::size_t n = factor.dim();
+  if (b.size() != n) {
+    throw std::invalid_argument("cholesky_solve: size mismatch");
+  }
+  const linalg::Matrix& l = factor.lower();
+  // Forward substitution: L y = b.
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l.at(i, k) * y[k];
+    y[i] = s / l.at(i, i);
+  }
+  // Back substitution: L^T x = y.
+  linalg::Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l.at(k, ii) * x[k];
+    x[ii] = s / l.at(ii, ii);
+  }
+  return x;
+}
+
 double quadratic_form(const linalg::Cholesky& factor,
                       const linalg::Vector& x) {
   const std::size_t n = factor.dim();

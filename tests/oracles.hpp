@@ -3,7 +3,8 @@
 //
 // None of this ships.  The receiver-side CAN parser checks the
 // transmit-side frame builder, the Cholesky quadratic form checks the
-// explicit-inverse Mahalanobis distance every scorer uses, and the
+// explicit-inverse Mahalanobis distance every scorer uses, the
+// one-right-hand-side Cholesky solve checks the inverse, and the
 // per-frame sequential scorer checks the pipeline and the supervisor.
 // Keeping them here, not in src/, is what tools/lint/reachability.sh
 // enforces: a src/ function that only tests link fails the gate.
@@ -34,6 +35,14 @@ double max_abs_diff(const linalg::Matrix& a, const linalg::Matrix& b);
 /// Matrix product a * b; throws std::invalid_argument on an inner
 /// dimension mismatch.
 linalg::Matrix matmul(const linalg::Matrix& a, const linalg::Matrix& b);
+
+/// Solves A x = b from A's Cholesky factor: forward substitution L y = b,
+/// then back substitution L^T x = y, one right-hand side at a time.  The
+/// reference sequence of Cholesky::inverse's column kernels
+/// (simd::cholesky_inverse_columns_*): column c of the inverse is
+/// cholesky_solve(factor, e_c), bit for bit.  Throws on a size mismatch.
+linalg::Vector cholesky_solve(const linalg::Cholesky& factor,
+                              const linalg::Vector& b);
 
 /// x^T A^-1 x from A's Cholesky factor: ||L^-1 x||^2, one forward
 /// substitution.  Throws on a size mismatch.

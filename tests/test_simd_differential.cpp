@@ -30,6 +30,7 @@
 #include "core/extractor.hpp"
 #include "core/trainer.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/covariance.hpp"
 #include "linalg/fixed_point.hpp"
 #include "linalg/mahalanobis.hpp"
 #include "linalg/simd_dispatch.hpp"
@@ -282,6 +283,209 @@ TEST(SimdKernels, Avx2RowKernelMatchesScalarBitwiseAtEveryDimResidue) {
     // The harness has teeth: reading the row-major inverse as if it were
     // its own transpose changes low bits somewhere.
     EXPECT_GT(symmetric_misses, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Training kernels: every backend vs the one-element / one-column scalar
+// sequence the trained model's bytes are defined by.
+// ---------------------------------------------------------------------------
+
+/// Restores dispatch to the environment's choice when a test ends.
+struct DispatchOverride {
+  explicit DispatchOverride(int forced) {
+    linalg::simd::set_force_scalar_override(forced);
+  }
+  ~DispatchOverride() { linalg::simd::set_force_scalar_override(-1); }
+};
+
+std::vector<double> random_values(std::size_t n, stats::Rng& rng,
+                                  double sigma) {
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.gaussian(0.0, sigma);
+  return v;
+}
+
+TEST(TrainKernels, Rank1UpdatesMatchElementSequenceAtDims1To70) {
+  stats::Rng rng(0x7A10001);
+  for (std::size_t dim = 1; dim <= 70; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    std::vector<double> expected = random_values(dim * dim, rng, 50.0);
+    std::vector<double> scalar = expected;
+    std::vector<double> avx2 = expected;
+    // Sweeps of 1..5 updates in a row (4 is the accumulator's batch):
+    // each element accumulates its own chain, update by update.
+    for (std::size_t k = 1; k <= 5; ++k) {
+      const std::vector<double> a = random_values(k * dim, rng, 3.0);
+      const std::vector<double> b = random_values(k * dim, rng, 3.0);
+      for (std::size_t t = 0; t < k; ++t) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          for (std::size_t j = 0; j < dim; ++j) {
+            expected[i * dim + j] += a[t * dim + i] * b[t * dim + j];
+          }
+        }
+      }
+      linalg::simd::rank1_updates_scalar(scalar.data(), a.data(), b.data(),
+                                         dim, k);
+      if (linalg::simd::cpu_has_avx2()) {
+        linalg::simd::rank1_updates_avx2(avx2.data(), a.data(), b.data(),
+                                         dim, k);
+      }
+    }
+    for (std::size_t e = 0; e < dim * dim; ++e) {
+      ASSERT_EQ(stats::ulp_distance(scalar[e], expected[e]), 0u) << "e=" << e;
+      if (linalg::simd::cpu_has_avx2()) {
+        ASSERT_EQ(stats::ulp_distance(avx2[e], expected[e]), 0u) << "e=" << e;
+      }
+    }
+  }
+}
+
+TEST(TrainKernels, AccumulatorIsBitIdenticalOnBothDispatchPaths) {
+  stats::Rng rng(0x7A10002);
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{5},
+                                std::size_t{34}, std::size_t{66},
+                                std::size_t{67}}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    std::vector<Vector> xs;
+    for (int i = 0; i < 23; ++i) {
+      Vector x(dim);
+      for (auto& v : x) v = 2000.0 + rng.gaussian(0.0, 30.0);
+      xs.push_back(std::move(x));
+    }
+    for (const int forced : {1, 0}) {
+      DispatchOverride dispatch(forced);
+      linalg::CovarianceAccumulator acc(dim);
+      // The Welford sequence the accumulator has always run, one
+      // element-by-element update per observation.
+      Vector mean(dim, 0.0);
+      Matrix m2(dim, dim);
+      for (std::size_t n = 1; n <= xs.size(); ++n) {
+        const Vector& x = xs[n - 1];
+        const Vector delta = linalg::subtract(x, mean);
+        const double inv_n = 1.0 / static_cast<double>(n);
+        for (std::size_t i = 0; i < dim; ++i) mean[i] += delta[i] * inv_n;
+        const Vector delta2 = linalg::subtract(x, mean);
+        for (std::size_t i = 0; i < dim; ++i) {
+          for (std::size_t j = 0; j < dim; ++j) {
+            m2.at(i, j) += delta[i] * delta2[j];
+          }
+        }
+        acc.add(x);
+        for (std::size_t i = 0; i < dim; ++i) {
+          ASSERT_EQ(stats::ulp_distance(acc.mean()[i], mean[i]), 0u)
+              << "forced=" << forced << " n=" << n << " i=" << i;
+        }
+        if (n < 2) continue;
+        // Every count, so covariance() runs with 0..3 updates queued.
+        const Matrix expected = m2 * (1.0 / static_cast<double>(n));
+        const Matrix cov = acc.covariance();
+        for (std::size_t k = 0; k < dim * dim; ++k) {
+          ASSERT_EQ(stats::ulp_distance(cov.data()[k], expected.data()[k]),
+                    0u)
+              << "forced=" << forced << " n=" << n << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(TrainKernels, InverseColumnsMatchOneRightHandSideSolveAtDims1To70) {
+  stats::Rng rng(0x7A10003);
+  for (std::size_t dim = 1; dim <= 70; ++dim) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const Matrix spd = random_spd(dim, rng).first;
+    const auto chol = linalg::Cholesky::factorize(spd);
+    ASSERT_TRUE(chol.has_value());
+    // Column c of the inverse is the one-right-hand-side solve of e_c.
+    Matrix expected(dim, dim);
+    for (std::size_t c = 0; c < dim; ++c) {
+      Vector e(dim, 0.0);
+      e[c] = 1.0;
+      const Vector col = oracle::cholesky_solve(*chol, e);
+      for (std::size_t r = 0; r < dim; ++r) expected.at(r, c) = col[r];
+    }
+    const double* l = chol->lower().data().data();
+    std::vector<double> scratch(8 * dim, 0.0);
+    Matrix scalar(dim, dim, -1.0);
+    linalg::simd::cholesky_inverse_columns_scalar(
+        l, dim, scratch.data(), scalar.data().data(), 0, dim);
+    std::vector<Matrix> got = {scalar};
+    if (linalg::simd::cpu_has_avx2()) {
+      Matrix whole(dim, dim, -1.0);
+      linalg::simd::cholesky_inverse_columns_avx2(
+          l, dim, scratch.data(), whole.data().data(), 0, dim);
+      got.push_back(whole);
+      // Ranges that start off a quad boundary and end in a partial quad:
+      // every column is written once and no column outside the range.
+      Matrix split(dim, dim, -1.0);
+      const std::size_t cut = dim / 3;
+      linalg::simd::cholesky_inverse_columns_avx2(
+          l, dim, scratch.data(), split.data().data(), cut, dim);
+      for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t c = 0; c < cut; ++c) {
+          ASSERT_EQ(stats::ulp_distance(split.at(r, c), -1.0), 0u)
+              << "column " << c << " written outside [" << cut << ", "
+              << dim << ")";
+        }
+      }
+      linalg::simd::cholesky_inverse_columns_avx2(
+          l, dim, scratch.data(), split.data().data(), 0, cut);
+      got.push_back(split);
+    }
+    for (const int forced : {1, 0}) {
+      DispatchOverride dispatch(forced);
+      got.push_back(chol->inverse());
+    }
+    for (std::size_t g = 0; g < got.size(); ++g) {
+      for (std::size_t k = 0; k < dim * dim; ++k) {
+        ASSERT_EQ(stats::ulp_distance(got[g].data()[k], expected.data()[k]),
+                  0u)
+            << "variant " << g << " row " << k / dim << " col " << k % dim;
+      }
+    }
+  }
+}
+
+TEST(TrainKernels, ThresholdPassMatchesPerMemberDistanceAtEveryTail) {
+  stats::Rng rng(0x7A10004);
+  for (const std::size_t dim : {std::size_t{34}, std::size_t{66},
+                                std::size_t{7}}) {
+    Vector mu(dim);
+    for (auto& m : mu) m = rng.gaussian(150.0, 10.0);
+    const Matrix inv = random_spd(dim, rng).second;
+    // Member counts with tails 0..3 past a 4-aligned body, including
+    // counts under one quad and every AVX2 block width.
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+          std::size_t{29}, std::size_t{30}, std::size_t{31},
+          std::size_t{32}, std::size_t{301}}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " n=" + std::to_string(n));
+      std::vector<EdgeSet> sets(n);
+      std::vector<const EdgeSet*> members;
+      for (EdgeSet& es : sets) {
+        es.samples.resize(dim);
+        for (auto& v : es.samples) v = 150.0 + rng.gaussian(0.0, 25.0);
+        members.push_back(&es);
+      }
+      for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+        if (backend == Backend::kAvx2 && !linalg::simd::cpu_has_avx2()) {
+          continue;
+        }
+        vprofile::FeatureBatch batch;
+        batch.transpose_sets(members.data(), nullptr, n, dim);
+        std::vector<double> dist(n, -1.0);
+        batch.mahalanobis_distances(backend, mu.data(), inv.data().data(),
+                                    nullptr, dist.data());
+        for (std::size_t e = 0; e < n; ++e) {
+          ASSERT_EQ(stats::ulp_distance(dist[e],
+                                        linalg::mahalanobis_distance_inv(
+                                            sets[e].samples, mu, inv)),
+                    0u)
+              << "backend " << static_cast<int>(backend) << " e=" << e;
+        }
+      }
+    }
   }
 }
 

@@ -1,11 +1,22 @@
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "analog/environment.hpp"
+#include "core/extractor.hpp"
 #include "core/trainer.hpp"
+#include "io/model_store.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/mahalanobis.hpp"
+#include "linalg/simd_dispatch.hpp"
+#include "sim/presets.hpp"
+#include "sim/vehicle.hpp"
 #include "stats/rng.hpp"
 #include "oracles.hpp"
+#include "ulp.hpp"
 
 namespace {
 
@@ -245,6 +256,71 @@ TEST(TrainByDistance, MatchesDatabaseTrainingOnSeparableData) {
 
 TEST(TrainByDistance, EmptyInputFails) {
   EXPECT_FALSE(vprofile::train_by_distance({}, mahalanobis_config()).ok());
+}
+
+/// Trains vehicle A (dim 66) and vehicle B (dim 34) models under both
+/// dispatch paths in one process: the saved model bytes must be the same,
+/// and each cluster's inverse and threshold must be the one-at-a-time
+/// reference sequence (one right-hand-side solve per column, one
+/// mahalanobis_distance_inv per member).
+TEST(TrainerDispatch, VehicleModelsHaveTheSameBytesOnBothDispatchPaths) {
+  for (const bool vehicle_b : {false, true}) {
+    SCOPED_TRACE(vehicle_b ? "vehicle B" : "vehicle A");
+    const sim::VehicleConfig config =
+        vehicle_b ? sim::vehicle_b() : sim::vehicle_a();
+    sim::Vehicle vehicle(config, 0x7A1D);
+    TrainingConfig tc;
+    tc.extraction = sim::default_extraction(config);
+    tc.ridge = 1.0;
+    std::vector<EdgeSet> sets;
+    for (const sim::Capture& cap :
+         vehicle.capture(1500, analog::Environment::reference())) {
+      if (auto es = vprofile::extract_edge_set(cap.codes, tc.extraction)) {
+        sets.push_back(std::move(*es));
+      }
+    }
+    std::string bytes[2];
+    for (const int forced : {1, 0}) {
+      linalg::simd::set_force_scalar_override(forced);
+      const auto outcome =
+          vprofile::train_with_database(sets, vehicle.database(), tc);
+      linalg::simd::set_force_scalar_override(-1);
+      ASSERT_TRUE(outcome.ok()) << outcome.error;
+      std::ostringstream os;
+      ASSERT_TRUE(io::save_model(*outcome.model, os));
+      bytes[forced] = os.str();
+
+      const Model& m = *outcome.model;
+      std::vector<double> max_dist(m.clusters().size(), 0.0);
+      for (const EdgeSet& es : sets) {
+        const std::size_t c = *m.cluster_of(es.sa);
+        const auto& cl = m.clusters()[c];
+        max_dist[c] = std::max(
+            max_dist[c], linalg::mahalanobis_distance_inv(
+                             es.samples, cl.mean, cl.inv_covariance));
+      }
+      for (std::size_t c = 0; c < m.clusters().size(); ++c) {
+        const auto& cl = m.clusters()[c];
+        EXPECT_EQ(stats::ulp_distance(cl.max_distance, max_dist[c]), 0u)
+            << "forced=" << forced << " cluster " << c;
+        const auto chol = linalg::Cholesky::factorize(cl.covariance);
+        ASSERT_TRUE(chol.has_value());
+        const std::size_t dim = m.dimension();
+        for (std::size_t col = 0; col < dim; ++col) {
+          linalg::Vector e(dim, 0.0);
+          e[col] = 1.0;
+          const linalg::Vector x = oracle::cholesky_solve(*chol, e);
+          for (std::size_t r = 0; r < dim; ++r) {
+            ASSERT_EQ(stats::ulp_distance(cl.inv_covariance.at(r, col), x[r]),
+                      0u)
+                << "forced=" << forced << " cluster " << c << " (" << r
+                << ", " << col << ")";
+          }
+        }
+      }
+    }
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
 }
 
 TEST(ModelTest, RejectsInconsistentConstruction) {

@@ -20,6 +20,14 @@
 // uses it for a deterministic shutdown; without it the server runs until
 // SIGINT/SIGTERM.
 //
+// Ordering: frames are ordered only within one connection.  A drain
+// frame sent on a second connection (`--send --count 0`) can be read
+// before the first connection's last frames, and --expect-drain then
+// exits with those frames unread.  A script that drains over a new
+// connection must first wait until the earlier frames are ingested, e.g.
+// by polling fleet_frames_ingested_total on the status endpoint's
+// /metrics.
+//
 // Client mode: synthesizes a labeled stream for one tenant and ships it
 // over the wire, optionally torn into --chunk-byte writes to exercise
 // reassembly, ending with a drain frame unless --no-drain.
